@@ -351,7 +351,7 @@ int main(int argc, char** argv) {
     const double wall_s = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - wall_start)
                               .count();
-    const auto digests = placement::shard_digests(host.plan(), fleet);
+    const auto digests = placement::shard_digests(fleet);
     std::uint64_t replayed = 0;
     for (const auto& tr : fleet.traces) replayed += tr.events;
     const double events_per_sec =
@@ -359,9 +359,9 @@ int main(int argc, char** argv) {
 
     std::printf(
         "\nmulti-cluster: %d clusters x %llu events on %d thread(s) "
-        "(%zu shards) — wall %.2f s, %llu sim events, %.0f events/sec\n",
+        "(%d shards) — wall %.2f s, %llu sim events, %.0f events/sec\n",
         clusters, static_cast<unsigned long long>(per_cluster),
-        exec.threads(), host.plan().shards(), wall_s,
+        exec.threads(), host.cluster_count(), wall_s,
         static_cast<unsigned long long>(fleet.sim_events), events_per_sec);
 
     bench::Json mc_tenants = bench::Json::array();
@@ -389,7 +389,7 @@ int main(int argc, char** argv) {
 
     multi_json.set("clusters", clusters);
     multi_json.set("threads", exec.threads());
-    multi_json.set("shards", static_cast<std::uint64_t>(host.plan().shards()));
+    multi_json.set("shards", static_cast<std::uint64_t>(host.cluster_count()));
     multi_json.set("wall_s", wall_s);
     multi_json.set("replayed_events", replayed);
     multi_json.set("sim_events", fleet.sim_events);

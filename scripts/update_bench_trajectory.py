@@ -6,8 +6,9 @@ record of kernel throughput over time, so a perf regression shows up as a
 dip in a diffable artifact rather than as folklore.  Each row snapshots the
 events/sec of the BM_EventKernel*, BM_ParallelShardReplay*, and
 BM_ParallelEpochBarrier* families from `bench_sim_micro --json` documents,
-plus "FleetRebalanceReplay/t<threads>" from a `bench_fleet --json`
-document's epoch-sliced rebalance leg:
+plus "FleetStaticReplay/<policy>/t<threads>" and
+"FleetRebalanceReplay/t<threads>" from a `bench_fleet --json` document's
+static-placement and rebalance legs:
 
     {
       "schema": "uc-bench-trajectory-v1",
@@ -22,7 +23,9 @@ Usage:
     scripts/update_bench_trajectory.py TRAJECTORY BENCH_JSON... --label LABEL
     scripts/update_bench_trajectory.py TRAJECTORY --check-only
 
-Several bench documents given together merge into one trajectory row.
+Several bench documents given together merge into one trajectory row; a
+row name that several of them report (repetitions of one bench) records
+the median.
 
 A missing trajectory file is seeded on first append.  Exit 0 = row appended
 (or file valid under --check-only).
@@ -30,11 +33,13 @@ A missing trajectory file is seeded on first append.  Exit 0 = row appended
 import argparse
 import json
 import os
+import statistics
 import sys
 
 SCHEMA = "uc-bench-trajectory-v1"
 TRACKED_PREFIXES = ("BM_EventKernel", "BM_ParallelShardReplay",
-                    "BM_ParallelEpochBarrier", "FleetRebalanceReplay")
+                    "BM_ParallelEpochBarrier", "FleetStaticReplay",
+                    "FleetRebalanceReplay")
 
 
 def fail(msg):
@@ -73,12 +78,17 @@ def extract_rates(bench_doc):
             if name.startswith(TRACKED_PREFIXES):
                 rates[name] = b.get("events_per_sec")
     elif bench == "fleet":
-        # The fleet's rebalance leg is the end-to-end artifact for the
-        # epoch-sliced engine: whole-run events/sec at this thread count.
+        # Whole-run events/sec of each fleet leg at this thread count: the
+        # static placements (one unbounded slice) and the sliced rebalance.
         fleet = bench_doc.get("metrics", {}).get("fleet", {})
+        threads = fleet.get("threads")
+        for leg in fleet.get("policies", []):
+            if "events_per_sec" in leg and threads is not None:
+                rates[f"FleetStaticReplay/{leg['policy']}/t{threads}"] = \
+                    leg["events_per_sec"]
         rebalance = fleet.get("rebalance", {})
-        if "events_per_sec" in rebalance and "threads" in fleet:
-            rates[f"FleetRebalanceReplay/t{fleet['threads']}"] = \
+        if "events_per_sec" in rebalance and threads is not None:
+            rates[f"FleetRebalanceReplay/t{threads}"] = \
                 rebalance["events_per_sec"]
     else:
         fail("bench document must be a sim_micro or fleet envelope")
@@ -120,14 +130,16 @@ def main():
         fail("a bench JSON is required unless --check-only is given")
     if not args.label:
         fail("--label is required when appending (use the commit sha)")
-    rates = {}
+    samples = {}
     for path in args.bench_json:
         try:
             with open(path) as f:
                 bench_doc = json.load(f)
         except (OSError, json.JSONDecodeError) as e:
             fail(f"{path}: {e}")
-        rates.update(extract_rates(bench_doc))
+        for name, rate in extract_rates(bench_doc).items():
+            samples.setdefault(name, []).append(rate)
+    rates = {name: statistics.median(v) for name, v in samples.items()}
 
     doc["rows"].append({"label": args.label, "benchmarks": rates})
     validate(doc)

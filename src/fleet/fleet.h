@@ -11,10 +11,9 @@
 /// `generate_fleet` draws a synthetic population with the skew production
 /// fleets show — lognormal volume sizes, Zipf heat (a few volumes carry
 /// most of the IOPS), tenant arrival/departure over the run, a shared
-/// diurnal cycle — and `run_fleet` executes it through the existing
-/// placement stack (`placement::MultiClusterHost`, or `ShardedHost` on a
-/// `sim::ParallelExecutor` when `threads > 1`), condensing the outcome
-/// into a `FleetReport`.
+/// diurnal cycle — and `run_fleet` executes it through the placement
+/// stack's `placement::ShardedHost` on a `sim::ParallelExecutor`,
+/// condensing the outcome into a `FleetReport`.
 ///
 /// Determinism contract: a `FleetSpec` fully determines the generated
 /// population (same seed ⇒ identical tenants), and a generated fleet runs
@@ -83,10 +82,10 @@ struct FleetSpec {
 
   // --- control plane under test ---
   placement::Policy policy = placement::Policy::kLeastInterference;
-  /// > 1 enables watermark rebalancing, which runs the epoch-sliced
-  /// shard-per-cluster engine (coupled clusters fuse only while a migration
-  /// is live — see `compute_shard_plan` and `ShardedHost`); <= 1 leaves
-  /// placement static and the fleet shard-per-cluster parallel.
+  /// > 1 enables watermark rebalancing, which slices the shard-per-cluster
+  /// run at `rebalance_interval` (coupled clusters fuse only while a
+  /// migration is live — see `ShardedHost`); <= 1 leaves placement static
+  /// and the fleet's measured run one unbounded slice.
   double rebalance_watermark = 0.0;
   SimTime rebalance_interval = 50 * units::kMs;
   placement::MigrationBudget budget;
@@ -117,7 +116,8 @@ struct GeneratedFleet {
 GeneratedFleet generate_fleet(const FleetSpec& spec);
 
 struct FleetRunOptions {
-  /// Worker threads for the parallel engine; 1 = the single-simulator host.
+  /// Worker threads for the parallel engine; 1 runs every shard inline on
+  /// the calling thread.  Results are identical at any value.
   int threads = 1;
 };
 
@@ -141,7 +141,7 @@ struct FleetReport {
   int peak_concurrent_migrations = 0;
   std::uint64_t migration_bytes_copied = 0;
 
-  /// Per-shard FNV digests of the merged result — identical across thread
+  /// Per-cluster FNV digests of the merged result — identical across thread
   /// counts by construction; the determinism artifact CI compares.
   std::vector<std::uint64_t> digests;
   std::uint64_t sim_events = 0;
@@ -150,9 +150,9 @@ struct FleetReport {
   placement::PlacementResult raw;
 };
 
-/// Executes a generated fleet and condenses the outcome.  `threads > 1`
-/// runs the same fleet as a `placement::ShardedHost`; results (and
-/// `digests`) are bit-identical to the single-simulator run.
+/// Executes a generated fleet on a `placement::ShardedHost` and condenses
+/// the outcome; results (and `digests`) are bit-identical at any
+/// `opt.threads`.
 FleetReport run_fleet(const GeneratedFleet& fleet,
                       const FleetRunOptions& opt = {});
 

@@ -78,11 +78,6 @@ std::vector<int> plan_placement(
     const PlacementConfig& cfg,
     const std::vector<tenant::TenantSpec>& tenants) {
   UC_ASSERT(cfg.clusters >= 1, "placement needs at least one cluster");
-  if (!cfg.fixed_assignment.empty()) {
-    UC_ASSERT(cfg.fixed_assignment.size() == tenants.size(),
-              "fixed assignment must cover every tenant");
-    return cfg.fixed_assignment;
-  }
   const auto k = static_cast<std::size_t>(cfg.clusters);
   std::vector<std::uint64_t> bytes(k, 0);
   std::vector<double> weight(k, 0.0);
@@ -143,337 +138,6 @@ std::vector<int> plan_placement(
     out.push_back(pick);
   }
   return out;
-}
-
-essd::EssdConfig MultiClusterHost::cluster_base(int c) const {
-  essd::EssdConfig b = base_;
-  const auto stride =
-      kClusterSeedStride * static_cast<std::uint64_t>(cfg_.first_cluster + c);
-  b.seed += stride;
-  b.cluster.seed += stride;
-  b.cluster.sched.weights = cluster_weights_[static_cast<std::size_t>(c)];
-  return b;
-}
-
-MultiClusterHost::MultiClusterHost(sim::Simulator& sim,
-                                   const essd::EssdConfig& base,
-                                   std::vector<tenant::TenantSpec> tenants,
-                                   const PlacementConfig& cfg)
-    : sim_(sim),
-      base_(base),
-      cfg_(cfg),
-      tenants_(std::move(tenants)),
-      pacer_(cfg.budget.copy_bandwidth_bps) {
-  // No tenants is legal: the sliced parallel engine instantiates a host for
-  // every cluster, and an idle cluster must still exist (it can become a
-  // migration destination at any barrier).
-  UC_ASSERT(cfg_.budget.max_concurrent >= 1,
-            "migration budget needs at least one slot");
-  initial_cluster_ = plan_placement(cfg_, tenants_);
-  cluster_of_ = initial_cluster_;
-  migrating_.assign(tenants_.size(), false);
-  migrated_.assign(tenants_.size(), false);
-
-  // Fold each cluster's WFQ weights in local attach order (exactly the
-  // SharedClusterHost fold when there is one cluster).
-  cluster_weights_.assign(static_cast<std::size_t>(cfg_.clusters), {});
-  local_index_.resize(tenants_.size());
-  for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    auto& fold = cluster_weights_[static_cast<std::size_t>(cluster_of_[i])];
-    local_index_[i] = fold.size();
-    fold.push_back(tenants_[i].weight);
-  }
-
-  clusters_.reserve(static_cast<std::size_t>(cfg_.clusters));
-  for (int c = 0; c < cfg_.clusters; ++c) {
-    clusters_.push_back(
-        std::make_unique<ebs::StorageCluster>(sim_, cluster_base(c).cluster));
-  }
-
-  volume_of_.resize(tenants_.size());
-  devices_.reserve(tenants_.size());
-  sources_.reserve(tenants_.size());
-  for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    const tenant::TenantSpec& t = tenants_[i];
-    const int c = cluster_of_[i];
-    auto& cluster = *clusters_[static_cast<std::size_t>(c)];
-    volume_of_[i] = cluster.attach_volume(t.capacity_bytes);
-    devices_.push_back(std::make_unique<essd::EssdDevice>(
-        sim_,
-        tenant::SharedClusterHost::tenant_config(cluster_base(c), t,
-                                                 local_index_[i]),
-        cluster, volume_of_[i]));
-    sources_.push_back(wl::make_load_source_or_die(sim_, *devices_.back(),
-                                                   t.load, "tenant " + t.name));
-  }
-}
-
-bool MultiClusterHost::all_runners_finished() const {
-  for (const auto& s : sources_) {
-    if (!s->finished()) return false;
-  }
-  return true;
-}
-
-int MultiClusterHost::active_migrations() const {
-  int active = 0;
-  for (const auto& m : migrators_) {
-    if (!m->finished()) ++active;
-  }
-  return active;
-}
-
-bool MultiClusterHost::under_migration_budget() const {
-  if (active_migrations() >= cfg_.budget.max_concurrent) return false;
-  if (cfg_.budget.max_total > 0 &&
-      static_cast<int>(records_.size()) >= cfg_.budget.max_total) {
-    return false;
-  }
-  return true;
-}
-
-bool MultiClusterHost::maybe_rebalance() {
-  if (!under_migration_budget()) return false;
-  return cfg_.policy == Policy::kLeastInterference ? maybe_rebalance_signal()
-                                                   : maybe_rebalance_bytes();
-}
-
-bool MultiClusterHost::maybe_rebalance_bytes() {
-  const auto k = static_cast<std::size_t>(cfg_.clusters);
-  std::vector<std::uint64_t> bytes(k, 0);
-  for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    bytes[static_cast<std::size_t>(cluster_of_[i])] +=
-        tenants_[i].capacity_bytes;
-  }
-  std::uint64_t total = 0;
-  std::size_t busiest = 0;
-  for (std::size_t c = 0; c < k; ++c) {
-    total += bytes[c];
-    if (bytes[c] > bytes[busiest]) busiest = c;
-  }
-  const double mean = static_cast<double>(total) / static_cast<double>(k);
-  if (static_cast<double>(bytes[busiest]) <= cfg_.rebalance_watermark * mean) {
-    return false;
-  }
-  // Largest still-running volume on the busiest cluster; moving a finished
-  // tenant frees no contended bandwidth.
-  std::size_t pick = tenants_.size();
-  for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    if (static_cast<std::size_t>(cluster_of_[i]) != busiest) continue;
-    if (migrating_[i]) continue;  // mid-copy volumes are not re-picked
-    if (sources_[i]->finished()) continue;
-    if (pick == tenants_.size() ||
-        tenants_[i].capacity_bytes > tenants_[pick].capacity_bytes) {
-      pick = i;
-    }
-  }
-  if (pick == tenants_.size()) return false;
-  std::size_t target = 0;
-  for (std::size_t c = 1; c < k; ++c) {
-    if (bytes[c] < bytes[target]) target = c;
-  }
-  if (target == busiest) return false;
-  // Only move when it strictly lowers the maximum load — the oscillation
-  // guard that keeps repeated checks from bouncing a volume back and forth.
-  const std::uint64_t cap = tenants_[pick].capacity_bytes;
-  if (std::max(bytes[busiest] - cap, bytes[target] + cap) >= bytes[busiest]) {
-    return false;
-  }
-  start_migration(pick, static_cast<int>(target));
-  return true;
-}
-
-bool MultiClusterHost::maybe_rebalance_signal() {
-  // Windowed busy/stall deltas since the previous check: occupancy is
-  // cumulative, so diffing consecutive snapshots yields "how contended was
-  // this cluster over the last rebalance interval" — the live analogue of
-  // the planning-time expected load.
-  const auto k = static_cast<std::size_t>(cfg_.clusters);
-  if (signal_at_check_.size() != k) signal_at_check_.assign(k, 0);
-  std::vector<SimTime> delta(k, 0);
-  SimTime total = 0;
-  std::size_t busiest = 0;
-  std::size_t coolest = 0;
-  for (std::size_t c = 0; c < k; ++c) {
-    const SimTime now_signal = clusters_[c]->busy_stats().signal();
-    delta[c] = now_signal - signal_at_check_[c];
-    signal_at_check_[c] = now_signal;
-    total += delta[c];
-    if (delta[c] > delta[busiest]) busiest = c;
-    if (delta[c] < delta[coolest]) coolest = c;
-  }
-  if (total == 0 || busiest == coolest) return false;
-  const double mean = static_cast<double>(total) / static_cast<double>(k);
-  if (static_cast<double>(delta[busiest]) <= cfg_.rebalance_watermark * mean) {
-    return false;
-  }
-  // Move the expectedly-hottest still-running volume.  Each tenant moves at
-  // most once per run: the signal window is noisy enough that a volume
-  // bounced twice is churn, not repair.
-  std::size_t pick = tenants_.size();
-  double pick_bps = 0.0;
-  for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    if (static_cast<std::size_t>(cluster_of_[i]) != busiest) continue;
-    if (migrating_[i] || migrated_[i]) continue;
-    if (sources_[i]->finished()) continue;
-    const double bps = expected_offered_bps(tenants_[i]);
-    if (pick == tenants_.size() || bps > pick_bps) {
-      pick = i;
-      pick_bps = bps;
-    }
-  }
-  if (pick == tenants_.size()) return false;
-  start_migration(pick, static_cast<int>(coolest));
-  return true;
-}
-
-void MultiClusterHost::start_migration(std::size_t tenant, int to_cluster) {
-  const int from = cluster_of_[tenant];
-  auto& src = *clusters_[static_cast<std::size_t>(from)];
-  auto& dst = *clusters_[static_cast<std::size_t>(to_cluster)];
-  const ebs::VolumeId dst_vol =
-      dst.attach_volume(tenants_[tenant].capacity_bytes);
-  // The destination's construction-time weight fold only covered volumes
-  // planned onto it; carry the tenant's WFQ weight through the cutover so
-  // the copy traffic and the tenant's post-migration foreground I/O keep
-  // their fair share on the new home.
-  dst.set_volume_weight(dst_vol, tenants_[tenant].weight);
-  records_.push_back(MigrationRecord{tenant, from, to_cluster, {}});
-  const std::size_t record = records_.size() - 1;
-  migrating_[tenant] = true;
-  auto migrator = std::make_unique<VolumeMigrator>(
-      sim_, *devices_[tenant], src, volume_of_[tenant], dst, dst_vol,
-      cfg_.migration,
-      [this, tenant, to_cluster, dst_vol, record] {
-        cluster_of_[tenant] = to_cluster;
-        volume_of_[tenant] = dst_vol;
-        migrating_[tenant] = false;
-        migrated_[tenant] = true;
-        records_[record].stats = record_migrator_[record]->stats();
-      },
-      pacer_.bytes_per_s() > 0.0 ? &pacer_ : nullptr);
-  record_migrator_.push_back(migrator.get());
-  migrators_.push_back(std::move(migrator));
-  peak_concurrent_ = std::max(peak_concurrent_, active_migrations());
-  migrators_.back()->start();
-}
-
-void MultiClusterHost::schedule_rebalance_check() {
-  sim_.schedule_after(cfg_.rebalance_interval, [this] {
-    if (all_runners_finished()) return;  // let the simulator drain
-    maybe_rebalance();
-    schedule_rebalance_check();
-  });
-}
-
-PlacementResult MultiClusterHost::run() {
-  run_fill();
-  return run_measure(sim_.now());
-}
-
-void MultiClusterHost::run_fill() {
-  UC_ASSERT(!filled_, "host already preconditioned");
-  filled_ = true;
-  tenant::run_preconditions(
-      sim_, tenants_,
-      [this](std::size_t i) -> BlockDevice& { return *devices_[i]; });
-}
-
-PlacementResult MultiClusterHost::run_measure(SimTime measure_start) {
-  begin_measure(measure_start);
-  if (cfg_.clusters > 1 && cfg_.rebalance_watermark > 1.0) {
-    if (cfg_.policy == Policy::kLeastInterference) {
-      // Signal baseline: the first rebalance window opens at measure start,
-      // not at simulator time zero, so fill-phase occupancy never counts.
-      signal_at_check_.clear();
-      for (const auto& c : clusters_) {
-        signal_at_check_.push_back(c->busy_stats().signal());
-      }
-    }
-    schedule_rebalance_check();
-  }
-  sim_.run();
-  return collect_measure();
-}
-
-void MultiClusterHost::begin_measure(SimTime measure_start) {
-  UC_ASSERT(filled_, "run_measure before run_fill");
-  UC_ASSERT(!ran_, "host already ran");
-  ran_ = true;
-  measuring_ = true;
-  // Clock alignment: the fleet's measured window opens when the *slowest*
-  // shard's fill drains.  The queue is already empty, so this only advances
-  // the clock (and is a no-op on the single-host path, where
-  // `measure_start` is this simulator's own drain time).
-  sim_.run_until(measure_start);
-  measure_start_ = sim_.now();
-  cluster_before_.clear();
-  cleaner_before_.clear();
-  busy_before_.clear();
-  for (const auto& c : clusters_) {
-    cluster_before_.push_back(c->stats());
-    cleaner_before_.push_back(c->cleaner().stats());
-    busy_before_.push_back(c->busy_stats());
-  }
-  for (auto& source : sources_) source->start();
-}
-
-PlacementResult MultiClusterHost::collect_measure() {
-  UC_ASSERT(measuring_, "collect_measure before begin_measure");
-  measuring_ = false;
-  PlacementResult result;
-  result.measure_start = measure_start_;
-  result.stats.reserve(sources_.size());
-  for (auto& source : sources_) {
-    UC_ASSERT(source->finished(), "simulator drained but a tenant load hung");
-    result.stats.push_back(source->stats());
-    result.backlog_peak.push_back(source->backlog_peak());
-    result.traces.push_back(wl::load_source_trace_summary(*source));
-    result.makespan = std::max(result.makespan, source->stats().last_complete);
-  }
-  result.initial_cluster = initial_cluster_;
-  result.final_cluster = cluster_of_;
-  result.migrations = records_;
-  result.peak_concurrent_migrations = peak_concurrent_;
-  for (std::size_t c = 0; c < clusters_.size(); ++c) {
-    result.cluster.push_back(
-        ebs::subtract(clusters_[c]->stats(), cluster_before_[c]));
-    result.cleaner.push_back(
-        ebs::subtract(clusters_[c]->cleaner().stats(), cleaner_before_[c]));
-    result.busy.push_back(
-        ebs::subtract(clusters_[c]->busy_stats(), busy_before_[c]));
-  }
-  result.sim_events = sim_.events_processed();
-  return result;
-}
-
-wl::JobStats MultiClusterHost::run_solo(std::size_t i) const {
-  return tenant::SharedClusterHost::run_solo(cluster_base(initial_cluster_[i]),
-                                             tenants_[i], local_index_[i]);
-}
-
-int ShardPlan::shard_of_cluster(int c) const {
-  for (std::size_t s = 0; s < first_cluster.size(); ++s) {
-    if (c >= first_cluster[s] && c < first_cluster[s] + clusters[s]) {
-      return static_cast<int>(s);
-    }
-  }
-  UC_ASSERT(false, "cluster outside every shard");
-  return 0;
-}
-
-ShardPlan compute_shard_plan(const PlacementConfig& cfg) {
-  UC_ASSERT(cfg.clusters >= 1, "placement needs at least one cluster");
-  // One shard per cluster, rebalancing or not.  A VolumeMigrator touches
-  // source and destination clusters inside one logical timeline, but the
-  // epoch-sliced engine fuses exactly the coupled shards for exactly the
-  // migration's window — the whole fleet never co-shards.
-  ShardPlan plan;
-  for (int c = 0; c < cfg.clusters; ++c) {
-    plan.first_cluster.push_back(c);
-    plan.clusters.push_back(1);
-  }
-  return plan;
 }
 
 namespace {
@@ -538,14 +202,10 @@ void mix_cleaner(Fnv1a& d, const ebs::CleanerStats& c) {
 
 }  // namespace
 
-std::vector<std::uint64_t> shard_digests(const ShardPlan& plan,
-                                         const PlacementResult& merged) {
-  std::vector<Fnv1a> digest(plan.shards());
-  // Tenants digest into the shard that *planned* them (migration only moves
-  // tenants within a shard, since coupled clusters always co-shard).
+std::vector<std::uint64_t> shard_digests(const PlacementResult& merged) {
+  std::vector<Fnv1a> digest(merged.cluster.size());
   for (std::size_t i = 0; i < merged.stats.size(); ++i) {
-    Fnv1a& d = digest[static_cast<std::size_t>(
-        plan.shard_of_cluster(merged.initial_cluster[i]))];
+    Fnv1a& d = digest[static_cast<std::size_t>(merged.initial_cluster[i])];
     d.mix(static_cast<std::uint64_t>(i));
     d.mix(static_cast<std::uint64_t>(merged.final_cluster[i]));
     d.mix(merged.backlog_peak[i]);
@@ -553,15 +213,13 @@ std::vector<std::uint64_t> shard_digests(const ShardPlan& plan,
     mix_trace(d, merged.traces[i]);
   }
   for (std::size_t c = 0; c < merged.cluster.size(); ++c) {
-    Fnv1a& d = digest[static_cast<std::size_t>(
-        plan.shard_of_cluster(static_cast<int>(c)))];
+    Fnv1a& d = digest[c];
     d.mix(static_cast<std::uint64_t>(c));
     mix_cluster(d, merged.cluster[c]);
     mix_cleaner(d, merged.cleaner[c]);
   }
   for (const MigrationRecord& m : merged.migrations) {
-    Fnv1a& d = digest[static_cast<std::size_t>(
-        plan.shard_of_cluster(m.from_cluster))];
+    Fnv1a& d = digest[static_cast<std::size_t>(m.from_cluster)];
     d.mix(static_cast<std::uint64_t>(m.tenant));
     d.mix(static_cast<std::uint64_t>(m.from_cluster));
     d.mix(static_cast<std::uint64_t>(m.to_cluster));
@@ -575,158 +233,93 @@ std::vector<std::uint64_t> shard_digests(const ShardPlan& plan,
 ShardedHost::ShardedHost(const essd::EssdConfig& base,
                          std::vector<tenant::TenantSpec> tenants,
                          const PlacementConfig& cfg)
-    : base_(base), cfg_(cfg), tenants_(std::move(tenants)) {
+    : cfg_(cfg), tenants_(std::move(tenants)) {
   UC_ASSERT(!tenants_.empty(), "host needs at least one tenant");
+  UC_ASSERT(cfg_.budget.max_concurrent >= 1,
+            "migration budget needs at least one slot");
   planned_ = plan_placement(cfg_, tenants_);
-  plan_ = compute_shard_plan(cfg_);
   sliced_ = cfg_.clusters > 1 && cfg_.rebalance_watermark > 1.0;
-  slice_ = cfg_.slice > 0 ? cfg_.slice : cfg_.rebalance_interval;
-  UC_ASSERT(!sliced_ || slice_ > 0, "sliced run needs a positive slice");
+  UC_ASSERT(!sliced_ || cfg_.rebalance_interval > 0,
+            "sliced run needs a positive rebalance interval");
 
-  shards_.resize(plan_.shards());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].first_cluster = plan_.first_cluster[s];
-    shards_[s].clusters = plan_.clusters[s];
-  }
+  shards_.resize(static_cast<std::size_t>(cfg_.clusters));
   shard_of_tenant_.resize(tenants_.size());
   local_of_tenant_.resize(tenants_.size());
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    const auto s =
-        static_cast<std::size_t>(plan_.shard_of_cluster(planned_[i]));
+    const auto s = static_cast<std::size_t>(planned_[i]);
     shard_of_tenant_[i] = s;
-    local_of_tenant_[i] = shards_[s].tenant.size();
-    shards_[s].tenant.push_back(i);
+    local_of_tenant_[i] = shards_[s].specs.size();
+    shards_[s].specs.push_back(tenants_[i]);
   }
 
-  for (Shard& sh : shards_) {
-    // Idle clusters need no simulator on the static schedule; the sliced
-    // one instantiates every shard (an idle cluster can become a migration
-    // destination at any barrier).
-    if (sh.tenant.empty() && !sliced_) continue;
-    PlacementConfig sub = cfg_;
-    sub.clusters = sh.clusters;
-    sub.first_cluster = cfg_.first_cluster + sh.first_cluster;
-    // Shard hosts never self-rebalance: on the sliced schedule the
-    // coordinator owns every migration, and on the static one rebalancing
-    // is off by construction.
-    sub.rebalance_watermark = 0.0;
-    sub.fixed_assignment.clear();
-    std::vector<tenant::TenantSpec> specs;
-    specs.reserve(sh.tenant.size());
-    for (const std::size_t g : sh.tenant) {
-      specs.push_back(tenants_[g]);
-      // Pin the global plan; the shard host must not re-run the policy over
-      // its filtered tenant list.
-      sub.fixed_assignment.push_back(planned_[g] - sh.first_cluster);
+  // Every cluster gets a shard, idle ones included: an idle cluster can
+  // become a migration destination at any barrier.
+  for (std::size_t c = 0; c < shards_.size(); ++c) {
+    Shard& sh = shards_[c];
+    // Cluster c's seed offsets, and its WFQ weights folded in local attach
+    // order (exactly the SharedClusterHost fold when there is one cluster).
+    sh.base = base;
+    const std::uint64_t stride = kClusterSeedStride * c;
+    sh.base.seed += stride;
+    sh.base.cluster.seed += stride;
+    sh.base.cluster.sched.weights.clear();
+    for (const tenant::TenantSpec& t : sh.specs) {
+      sh.base.cluster.sched.weights.push_back(t.weight);
     }
     sh.sim = std::make_unique<sim::Simulator>();
-    sh.host = std::make_unique<MultiClusterHost>(*sh.sim, base_,
-                                                 std::move(specs), sub);
+    sh.cluster =
+        std::make_unique<ebs::StorageCluster>(*sh.sim, sh.base.cluster);
+    sh.devices.reserve(sh.specs.size());
+    sh.sources.reserve(sh.specs.size());
+    for (std::size_t j = 0; j < sh.specs.size(); ++j) {
+      const tenant::TenantSpec& t = sh.specs[j];
+      const ebs::VolumeId vol = sh.cluster->attach_volume(t.capacity_bytes);
+      sh.devices.push_back(std::make_unique<essd::EssdDevice>(
+          *sh.sim, tenant::SharedClusterHost::tenant_config(sh.base, t, j),
+          *sh.cluster, vol));
+      sh.sources.push_back(wl::make_load_source_or_die(
+          *sh.sim, *sh.devices.back(), t.load, "tenant " + t.name));
+    }
   }
 
-  if (sliced_) {
-    fleet_cluster_of_ = planned_;
-    fleet_migrating_.assign(tenants_.size(), 0);
-    fleet_migrated_.assign(tenants_.size(), 0);
-  }
+  cluster_of_ = planned_;
+  migrating_.assign(tenants_.size(), 0);
+  migrated_.assign(tenants_.size(), 0);
+}
+
+ebs::VolumeId ShardedHost::volume_of(std::size_t i) const {
+  return shards_[shard_of_tenant_[i]].devices[local_of_tenant_[i]]->volume();
 }
 
 PlacementResult ShardedHost::run(sim::ParallelExecutor& exec) {
   UC_ASSERT(!ran_, "host already ran");
   ran_ = true;
-  return sliced_ ? run_sliced(exec) : run_static(exec);
-}
-
-PlacementResult ShardedHost::run_static(sim::ParallelExecutor& exec) {
-  // Epoch 1: every shard preconditions and drains its own simulator.
-  exec.run_epoch(shards_.size(), [this](std::size_t s) {
-    if (shards_[s].host != nullptr) shards_[s].host->run_fill();
-  });
-  // Barrier: the fleet's measured window opens at the slowest drain — the
-  // same instant the single-simulator host observes, where one queue holds
-  // every cluster's fill and drains at the global max.
-  SimTime t0 = 0;
-  for (const Shard& sh : shards_) {
-    if (sh.sim != nullptr) t0 = std::max(t0, sh.sim->now());
-  }
-  // Epoch 2: the measured runs, all opening at t0.
-  std::vector<PlacementResult> part(shards_.size());
-  exec.run_epoch(shards_.size(), [this, &part, t0](std::size_t s) {
-    if (shards_[s].host != nullptr) part[s] = shards_[s].host->run_measure(t0);
-  });
-  return merge_parts(std::move(part), t0);
-}
-
-PlacementResult ShardedHost::merge_parts(std::vector<PlacementResult> part,
-                                         SimTime measure_start) const {
-  // Coordinator merge: restore spec order for tenants and global indices
-  // for clusters.  Shards without a host leave default (all-zero) cluster
-  // and cleaner deltas — exactly what an idle cluster contributes.
-  const std::size_t n = tenants_.size();
-  PlacementResult result;
-  result.measure_start = measure_start;
-  result.stats.resize(n);
-  result.backlog_peak.resize(n);
-  result.traces.resize(n);
-  result.initial_cluster.resize(n);
-  result.final_cluster.resize(n);
-  result.cluster.resize(static_cast<std::size_t>(cfg_.clusters));
-  result.cleaner.resize(static_cast<std::size_t>(cfg_.clusters));
-  result.busy.resize(static_cast<std::size_t>(cfg_.clusters));
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& sh = shards_[s];
-    if (sh.host == nullptr) continue;
-    PlacementResult& r = part[s];
-    for (std::size_t j = 0; j < sh.tenant.size(); ++j) {
-      const std::size_t g = sh.tenant[j];
-      result.stats[g] = std::move(r.stats[j]);
-      result.backlog_peak[g] = r.backlog_peak[j];
-      result.traces[g] = std::move(r.traces[j]);
-      result.initial_cluster[g] = r.initial_cluster[j] + sh.first_cluster;
-      result.final_cluster[g] = r.final_cluster[j] + sh.first_cluster;
-    }
-    for (int c = 0; c < sh.clusters; ++c) {
-      const auto gc = static_cast<std::size_t>(sh.first_cluster + c);
-      result.cluster[gc] = r.cluster[static_cast<std::size_t>(c)];
-      result.cleaner[gc] = std::move(r.cleaner[static_cast<std::size_t>(c)]);
-      result.busy[gc] = r.busy[static_cast<std::size_t>(c)];
-    }
-    for (const MigrationRecord& m : r.migrations) {
-      result.migrations.push_back(MigrationRecord{
-          sh.tenant[m.tenant], m.from_cluster + sh.first_cluster,
-          m.to_cluster + sh.first_cluster, m.stats});
-    }
-    result.peak_concurrent_migrations =
-        std::max(result.peak_concurrent_migrations,
-                 r.peak_concurrent_migrations);
-    result.makespan = std::max(result.makespan, r.makespan);
-    result.sim_events += r.sim_events;
-  }
-  return result;
-}
-
-PlacementResult ShardedHost::run_sliced(sim::ParallelExecutor& exec) {
   // Epoch 1: every shard preconditions and drains its own simulator (idle
   // clusters are a no-op fill).
-  exec.run_epoch(shards_.size(),
-                 [this](std::size_t s) { shards_[s].host->run_fill(); });
+  exec.run_epoch(shards_.size(), [this](std::size_t s) {
+    Shard& sh = shards_[s];
+    tenant::run_preconditions(
+        *sh.sim, sh.specs,
+        [&sh](std::size_t j) -> BlockDevice& { return *sh.devices[j]; });
+  });
+  // Barrier: the fleet's measured window opens at the slowest drain.
+  // Opening it is cheap (clock alignment, stats snapshots, source starts),
+  // so the coordinator does it serially.
   SimTime t0 = 0;
   for (const Shard& sh : shards_) t0 = std::max(t0, sh.sim->now());
-  // Opening the measured window is cheap (clock alignment, stats snapshots,
-  // source starts), so the coordinator does it serially.
-  for (Shard& sh : shards_) sh.host->begin_measure(t0);
-  if (cfg_.policy == Policy::kLeastInterference) {
-    // Same baseline rule as the single-sim host: the first rebalance window
-    // opens at measure start, fill-phase occupancy never counts.
-    signal_at_check_.clear();
+  for (Shard& sh : shards_) begin_measure(sh, t0);
+  if (sliced_ && cfg_.policy == Policy::kLeastInterference) {
+    // The first rebalance window opens at measure start: fill-phase
+    // occupancy never counts.
     for (const Shard& sh : shards_) {
-      signal_at_check_.push_back(sh.host->cluster(0).busy_stats().signal());
+      signal_at_check_.push_back(sh.cluster->busy_stats().signal());
     }
   }
 
   // The slice loop: advance every fused group one slice, then decide at the
   // barrier.  The partition is rebuilt from the live couplings each time,
-  // so fusion and splitting both fall out of `coupled_groups`.
+  // so fusion and splitting both fall out of `coupled_groups`.  A static
+  // fleet never couples clusters, so its one slice is unbounded.
   std::vector<std::vector<std::size_t>> groups = coupled_groups();
   SimTime tk = t0;
   for (;;) {
@@ -738,13 +331,15 @@ PlacementResult ShardedHost::run_sliced(sim::ParallelExecutor& exec) {
       }
     }
     if (!pending) break;
-    tk += slice_;
+    tk = sliced_ ? tk + cfg_.rebalance_interval : kNoTime;
     exec.run_epoch(groups.size(), [this, &groups, tk](std::size_t g) {
       advance_group(groups[g], tk);
     });
+    if (!sliced_) continue;
     ++slice_stats_.slices;
-    fleet_rebalance();
+    rebalance();
     std::vector<std::vector<std::size_t>> next = coupled_groups();
+    reconcile_pacers(next);
     if (next.size() < groups.size()) {
       slice_stats_.fusions += groups.size() - next.size();
     } else if (next.size() > groups.size()) {
@@ -756,16 +351,47 @@ PlacementResult ShardedHost::run_sliced(sim::ParallelExecutor& exec) {
     }
     groups = std::move(next);
   }
+  return collect(t0);
+}
 
-  std::vector<PlacementResult> part(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    part[s] = shards_[s].host->collect_measure();
+void ShardedHost::begin_measure(Shard& sh, SimTime t0) {
+  // The queue is already empty, so this only advances the clock.
+  sh.sim->run_until(t0);
+  sh.cluster_before = sh.cluster->stats();
+  sh.cleaner_before = sh.cluster->cleaner().stats();
+  sh.busy_before = sh.cluster->busy_stats();
+  for (auto& source : sh.sources) source->start();
+}
+
+PlacementResult ShardedHost::collect(SimTime measure_start) const {
+  // Built in spec order with push_back, never resize-then-assign: a
+  // default JobStats allocates four full histograms, so resizing first
+  // would allocate every tenant's stats twice.
+  const std::size_t n = tenants_.size();
+  PlacementResult result;
+  result.measure_start = measure_start;
+  result.stats.reserve(n);
+  result.backlog_peak.reserve(n);
+  result.traces.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const wl::LoadSource& source =
+        *shards_[shard_of_tenant_[i]].sources[local_of_tenant_[i]];
+    UC_ASSERT(source.finished(), "simulator drained but a tenant load hung");
+    result.stats.push_back(source.stats());
+    result.backlog_peak.push_back(source.backlog_peak());
+    result.traces.push_back(wl::load_source_trace_summary(source));
+    result.makespan = std::max(result.makespan, source.stats().last_complete);
   }
-  PlacementResult result = merge_parts(std::move(part), t0);
-  // The shard hosts never migrated anything; the coordinator's ledger is
-  // the fleet truth.
-  for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    result.final_cluster[i] = fleet_cluster_of_[i];
+  result.initial_cluster = planned_;
+  result.final_cluster = cluster_of_;
+  for (const Shard& sh : shards_) {
+    result.cluster.push_back(ebs::subtract(sh.cluster->stats(),
+                                           sh.cluster_before));
+    result.cleaner.push_back(ebs::subtract(sh.cluster->cleaner().stats(),
+                                           sh.cleaner_before));
+    result.busy.push_back(ebs::subtract(sh.cluster->busy_stats(),
+                                        sh.busy_before));
+    result.sim_events += sh.sim->events_processed();
   }
   result.migrations = records_;
   result.peak_concurrent_migrations = peak_concurrent_;
@@ -792,7 +418,13 @@ void ShardedHost::advance_group(const std::vector<std::size_t>& members,
       for (const std::size_t m : members) shards_[m].sim->run_until(t);
     }
   }
-  for (const std::size_t m : members) shards_[m].sim->run_until(bound);
+  for (const std::size_t m : members) {
+    if (bound == kNoTime) {
+      shards_[m].sim->run();
+    } else {
+      shards_[m].sim->run_until(bound);
+    }
+  }
 }
 
 std::vector<std::vector<std::size_t>> ShardedHost::coupled_groups() const {
@@ -811,9 +443,8 @@ std::vector<std::vector<std::size_t>> ShardedHost::coupled_groups() const {
     b = find(b);
     if (a != b) parent[std::max(a, b)] = std::min(a, b);
   };
-  // One shard per cluster, so shard index == cluster index here.
   for (std::size_t r = 0; r < records_.size(); ++r) {
-    if (record_migrator_[r]->finished()) continue;
+    if (migrators_[r]->finished()) continue;
     const std::size_t home = shard_of_tenant_[records_[r].tenant];
     unite(home, static_cast<std::size_t>(records_[r].from_cluster));
     unite(home, static_cast<std::size_t>(records_[r].to_cluster));
@@ -821,9 +452,8 @@ std::vector<std::vector<std::size_t>> ShardedHost::coupled_groups() const {
   // Post-cutover drain: the tenant's device (home shard) keeps talking to
   // its new cluster until the load finishes, so those two stay fused.
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    if (!fleet_migrated_[i] || fleet_tenant_finished(i)) continue;
-    unite(shard_of_tenant_[i],
-          static_cast<std::size_t>(fleet_cluster_of_[i]));
+    if (!migrated_[i] || tenant_finished(i)) continue;
+    unite(shard_of_tenant_[i], static_cast<std::size_t>(cluster_of_[i]));
   }
   std::vector<std::vector<std::size_t>> groups;
   std::vector<std::size_t> group_of(n, n);
@@ -838,12 +468,13 @@ std::vector<std::vector<std::size_t>> ShardedHost::coupled_groups() const {
   return groups;
 }
 
-bool ShardedHost::fleet_tenant_finished(std::size_t tenant) const {
-  return shards_[shard_of_tenant_[tenant]].host->tenant_finished(
-      local_of_tenant_[tenant]);
+bool ShardedHost::tenant_finished(std::size_t tenant) const {
+  return shards_[shard_of_tenant_[tenant]]
+      .sources[local_of_tenant_[tenant]]
+      ->finished();
 }
 
-int ShardedHost::fleet_active_migrations() const {
+int ShardedHost::active_migrations() const {
   int active = 0;
   for (const auto& m : migrators_) {
     if (!m->finished()) ++active;
@@ -851,8 +482,8 @@ int ShardedHost::fleet_active_migrations() const {
   return active;
 }
 
-bool ShardedHost::fleet_under_budget() const {
-  if (fleet_active_migrations() >= cfg_.budget.max_concurrent) return false;
+bool ShardedHost::under_budget() const {
+  if (active_migrations() >= cfg_.budget.max_concurrent) return false;
   if (cfg_.budget.max_total > 0 &&
       static_cast<int>(records_.size()) >= cfg_.budget.max_total) {
     return false;
@@ -860,28 +491,25 @@ bool ShardedHost::fleet_under_budget() const {
   return true;
 }
 
-bool ShardedHost::fleet_rebalance() {
-  // Mirror of `MultiClusterHost::maybe_rebalance` at fleet scope, run once
-  // per slice barrier: same stop-when-drained guard, same budget admission,
-  // same policy split, at most one migration per check.
+bool ShardedHost::rebalance() {
+  // Once every load has drained there is nothing left to repair.
   bool any_running = false;
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    if (!fleet_tenant_finished(i)) {
+    if (!tenant_finished(i)) {
       any_running = true;
       break;
     }
   }
-  if (!any_running) return false;
-  if (!fleet_under_budget()) return false;
-  return cfg_.policy == Policy::kLeastInterference ? fleet_rebalance_signal()
-                                                   : fleet_rebalance_bytes();
+  if (!any_running || !under_budget()) return false;
+  return cfg_.policy == Policy::kLeastInterference ? rebalance_signal()
+                                                   : rebalance_bytes();
 }
 
-bool ShardedHost::fleet_rebalance_bytes() {
+bool ShardedHost::rebalance_bytes() {
   const auto k = static_cast<std::size_t>(cfg_.clusters);
   std::vector<std::uint64_t> bytes(k, 0);
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    bytes[static_cast<std::size_t>(fleet_cluster_of_[i])] +=
+    bytes[static_cast<std::size_t>(cluster_of_[i])] +=
         tenants_[i].capacity_bytes;
   }
   std::uint64_t total = 0;
@@ -894,11 +522,14 @@ bool ShardedHost::fleet_rebalance_bytes() {
   if (static_cast<double>(bytes[busiest]) <= cfg_.rebalance_watermark * mean) {
     return false;
   }
+  // Largest still-running volume on the busiest cluster; moving a finished
+  // tenant frees no contended bandwidth, and mid-copy volumes are not
+  // re-picked.
   std::size_t pick = tenants_.size();
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    if (static_cast<std::size_t>(fleet_cluster_of_[i]) != busiest) continue;
-    if (fleet_migrating_[i]) continue;
-    if (fleet_tenant_finished(i)) continue;
+    if (static_cast<std::size_t>(cluster_of_[i]) != busiest) continue;
+    if (migrating_[i]) continue;
+    if (tenant_finished(i)) continue;
     if (pick == tenants_.size() ||
         tenants_[i].capacity_bytes > tenants_[pick].capacity_bytes) {
       pick = i;
@@ -910,28 +541,28 @@ bool ShardedHost::fleet_rebalance_bytes() {
     if (bytes[c] < bytes[target]) target = c;
   }
   if (target == busiest) return false;
-  // The same strict-max-reduction oscillation guard as the single-sim host.
+  // Only move when it strictly lowers the maximum load — the oscillation
+  // guard that keeps repeated checks from bouncing a volume back and forth.
   const std::uint64_t cap = tenants_[pick].capacity_bytes;
   if (std::max(bytes[busiest] - cap, bytes[target] + cap) >= bytes[busiest]) {
     return false;
   }
-  start_fleet_migration(pick, static_cast<int>(target));
+  start_migration(pick, static_cast<int>(target));
   return true;
 }
 
-bool ShardedHost::fleet_rebalance_signal() {
-  // Windowed busy/stall deltas between consecutive barriers — the sliced
-  // analogue of the single-sim signal path, reading each cluster's
-  // occupancy through its shard host.
+bool ShardedHost::rebalance_signal() {
+  // Windowed busy/stall deltas since the previous check: occupancy is
+  // cumulative, so diffing consecutive snapshots yields "how contended was
+  // this cluster over the last rebalance interval" — the live analogue of
+  // the planning-time expected load.
   const auto k = static_cast<std::size_t>(cfg_.clusters);
-  if (signal_at_check_.size() != k) signal_at_check_.assign(k, 0);
   std::vector<SimTime> delta(k, 0);
   SimTime total = 0;
   std::size_t busiest = 0;
   std::size_t coolest = 0;
   for (std::size_t c = 0; c < k; ++c) {
-    const SimTime now_signal =
-        shards_[c].host->cluster(0).busy_stats().signal();
+    const SimTime now_signal = shards_[c].cluster->busy_stats().signal();
     delta[c] = now_signal - signal_at_check_[c];
     signal_at_check_[c] = now_signal;
     total += delta[c];
@@ -943,12 +574,15 @@ bool ShardedHost::fleet_rebalance_signal() {
   if (static_cast<double>(delta[busiest]) <= cfg_.rebalance_watermark * mean) {
     return false;
   }
+  // Move the expectedly-hottest still-running volume.  Each tenant moves at
+  // most once per run: the signal window is noisy enough that a volume
+  // bounced twice is churn, not repair.
   std::size_t pick = tenants_.size();
   double pick_bps = 0.0;
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    if (static_cast<std::size_t>(fleet_cluster_of_[i]) != busiest) continue;
-    if (fleet_migrating_[i] || fleet_migrated_[i]) continue;
-    if (fleet_tenant_finished(i)) continue;
+    if (static_cast<std::size_t>(cluster_of_[i]) != busiest) continue;
+    if (migrating_[i] || migrated_[i]) continue;
+    if (tenant_finished(i)) continue;
     const double bps = expected_offered_bps(tenants_[i]);
     if (pick == tenants_.size() || bps > pick_bps) {
       pick = i;
@@ -956,93 +590,105 @@ bool ShardedHost::fleet_rebalance_signal() {
     }
   }
   if (pick == tenants_.size()) return false;
-  start_fleet_migration(pick, static_cast<int>(coolest));
+  start_migration(pick, static_cast<int>(coolest));
   return true;
 }
 
-void ShardedHost::start_fleet_migration(std::size_t tenant, int to_cluster) {
+void ShardedHost::start_migration(std::size_t tenant, int to_cluster) {
   const std::size_t home = shard_of_tenant_[tenant];
-  const int from = fleet_cluster_of_[tenant];
-  MultiClusterHost& home_host = *shards_[home].host;
+  const int from = cluster_of_[tenant];
   // The tenant's device lives in its home shard forever; its *current*
   // cluster (after earlier migrations) is whatever the device targets.
-  essd::EssdDevice& dev = home_host.device_mut(local_of_tenant_[tenant]);
+  essd::EssdDevice& dev = *shards_[home].devices[local_of_tenant_[tenant]];
   ebs::StorageCluster& src = dev.cluster();
   ebs::StorageCluster& dst =
-      shards_[static_cast<std::size_t>(to_cluster)].host->cluster_mut(0);
+      *shards_[static_cast<std::size_t>(to_cluster)].cluster;
   const ebs::VolumeId src_vol = dev.volume();
   const ebs::VolumeId dst_vol =
       dst.attach_volume(tenants_[tenant].capacity_bytes);
-  // Carry the tenant's WFQ weight to the new home, exactly as the
-  // single-sim host does.
+  // The destination's construction-time weight fold only covered volumes
+  // planned onto it; carry the tenant's WFQ weight through the cutover so
+  // the copy traffic and the tenant's post-migration foreground I/O keep
+  // their fair share on the new home.
   dst.set_volume_weight(dst_vol, tenants_[tenant].weight);
   records_.push_back(MigrationRecord{tenant, from, to_cluster, {}});
   const std::size_t record = records_.size() - 1;
-  fleet_migrating_[tenant] = 1;
+  migrating_[tenant] = 1;
   // The done-callback runs on whichever worker advances this migration's
   // fused group; it touches only this tenant's/record's slots, which no
   // other group can reach, and the coordinator reads them at barriers only.
-  auto migrator = std::make_unique<VolumeMigrator>(
+  migrators_.push_back(std::make_unique<VolumeMigrator>(
       *shards_[home].sim, dev, src, src_vol, dst, dst_vol, cfg_.migration,
       [this, tenant, to_cluster, record] {
-        fleet_cluster_of_[tenant] = to_cluster;
-        fleet_migrating_[tenant] = 0;
-        fleet_migrated_[tenant] = 1;
-        records_[record].stats = record_migrator_[record]->stats();
+        cluster_of_[tenant] = to_cluster;
+        migrating_[tenant] = 0;
+        migrated_[tenant] = 1;
+        records_[record].stats = migrators_[record]->stats();
       },
-      nullptr);
-  record_migrator_.push_back(migrator.get());
+      nullptr));
   record_pacer_.push_back(nullptr);
-  migrators_.push_back(std::move(migrator));
-  reconcile_pacers();
-  peak_concurrent_ = std::max(peak_concurrent_, fleet_active_migrations());
+  reconcile_pacers(coupled_groups());
+  peak_concurrent_ = std::max(peak_concurrent_, active_migrations());
   migrators_.back()->start();
 }
 
-void ShardedHost::reconcile_pacers() {
-  // Copy bandwidth is budgeted per fused group: every active migration in
-  // one coupled component shares one pacer (serialized reservations), and
-  // when components merge the earliest record's pacer survives with the
-  // max of the reservation high-waters (`absorb`).  Only ever called at a
-  // barrier, where all member clocks agree.
+void ShardedHost::reconcile_pacers(
+    const std::vector<std::vector<std::size_t>>& groups) {
+  // Every active migration in one coupled group shares one pacer
+  // (serialized reservations).  When groups merge, the earliest record's
+  // pacer survives with the max of the reservation high-waters (`absorb`).
+  // When a group splits while two of its migrations still copy, the
+  // groups after the first get a copy of the shared pacer, high-water
+  // included — otherwise two workers would reserve on one object.  Only
+  // ever called at a barrier, where all member clocks agree.
   if (cfg_.budget.copy_bandwidth_bps <= 0.0) return;
-  const std::vector<std::vector<std::size_t>> groups = coupled_groups();
   std::vector<std::size_t> group_of(shards_.size(), 0);
   for (std::size_t g = 0; g < groups.size(); ++g) {
     for (const std::size_t s : groups[g]) group_of[s] = g;
   }
   std::vector<MigrationPacer*> survivor(groups.size(), nullptr);
+  const auto claimed = [&survivor](const MigrationPacer* p) {
+    return std::find(survivor.begin(), survivor.end(), p) != survivor.end();
+  };
   for (std::size_t r = 0; r < records_.size(); ++r) {
-    if (record_migrator_[r]->finished()) continue;
+    if (migrators_[r]->finished()) continue;
     const std::size_t g =
         group_of[static_cast<std::size_t>(records_[r].to_cluster)];
+    MigrationPacer*& pacer = record_pacer_[r];
     if (survivor[g] == nullptr) {
-      if (record_pacer_[r] == nullptr) {
+      if (pacer == nullptr || claimed(pacer)) {
         pacers_.push_back(
-            std::make_unique<MigrationPacer>(cfg_.budget.copy_bandwidth_bps));
-        record_pacer_[r] = pacers_.back().get();
-        record_migrator_[r]->set_pacer(record_pacer_[r]);
+            pacer == nullptr
+                ? std::make_unique<MigrationPacer>(
+                      cfg_.budget.copy_bandwidth_bps)
+                : std::make_unique<MigrationPacer>(*pacer));
+        pacer = pacers_.back().get();
+        migrators_[r]->set_pacer(pacer);
       }
-      survivor[g] = record_pacer_[r];
-    } else if (record_pacer_[r] != survivor[g]) {
-      if (record_pacer_[r] != nullptr) survivor[g]->absorb(*record_pacer_[r]);
-      record_pacer_[r] = survivor[g];
-      record_migrator_[r]->set_pacer(survivor[g]);
+      survivor[g] = pacer;
+    } else if (pacer != survivor[g]) {
+      if (pacer != nullptr) survivor[g]->absorb(*pacer);
+      pacer = survivor[g];
+      migrators_[r]->set_pacer(pacer);
     }
+  }
+  // No pacer may serve two groups: the groups advance on different workers.
+  for (std::size_t r = 0; r < records_.size(); ++r) {
+    if (migrators_[r]->finished()) continue;
+    UC_ASSERT(record_pacer_[r] ==
+                  survivor[group_of[static_cast<std::size_t>(
+                      records_[r].to_cluster)]],
+              "a migration pacer serves two shard groups");
   }
 }
 
 void ShardedHost::check_invariants() const {
-  for (const Shard& sh : shards_) {
-    if (sh.host == nullptr) continue;
-    for (int c = 0; c < sh.host->cluster_count(); ++c) {
-      sh.host->cluster(c).check_invariants();
-    }
-  }
+  for (const Shard& sh : shards_) sh.cluster->check_invariants();
 }
 
 wl::JobStats ShardedHost::run_solo(std::size_t i) const {
-  return shards_[shard_of_tenant_[i]].host->run_solo(local_of_tenant_[i]);
+  return tenant::SharedClusterHost::run_solo(
+      shards_[shard_of_tenant_[i]].base, tenants_[i], local_of_tenant_[i]);
 }
 
 PlacementScenarioResult run_placement_scenario(
@@ -1053,31 +699,10 @@ PlacementScenarioResult run_placement_scenario(
   result.tenants = setup.tenants;
 
   sim::ParallelExecutor exec(opt.base.threads);
-  std::unique_ptr<sim::Simulator> sim;
-  std::unique_ptr<MultiClusterHost> host;
-  std::unique_ptr<ShardedHost> sharded;
-  PlacementResult run;
-  // Rebalancing fleets take the epoch-sliced ShardedHost at *every* thread
-  // count — digests must be invariant down to --threads 1, so one thread
-  // runs the same sliced schedule inline.  Non-rebalancing fleets keep the
-  // byte-identical single-simulator path at one thread.
-  const bool sliced = opt.placement.clusters > 1 &&
-                      opt.placement.rebalance_watermark > 1.0;
-  if (exec.threads() > 1 || sliced) {
-    sharded = std::make_unique<ShardedHost>(setup.base, setup.tenants,
-                                            opt.placement);
-    run = sharded->run(exec);
-    sharded->check_invariants();
-  } else {
-    sim = std::make_unique<sim::Simulator>();
-    host = std::make_unique<MultiClusterHost>(*sim, setup.base, setup.tenants,
-                                              opt.placement);
-    run = host->run();
-    for (int c = 0; c < host->cluster_count(); ++c) {
-      host->cluster(c).check_invariants();
-    }
-  }
-  result.shard_digest = shard_digests(compute_shard_plan(opt.placement), run);
+  ShardedHost host(setup.base, setup.tenants, opt.placement);
+  PlacementResult run = host.run(exec);
+  host.check_invariants();
+  result.shard_digest = shard_digests(run);
   result.sim_events = run.sim_events;
   result.makespan = run.makespan - run.measure_start;
   result.initial_cluster = std::move(run.initial_cluster);
@@ -1093,10 +718,9 @@ PlacementScenarioResult run_placement_scenario(
   if (opt.base.solo_baselines) {
     result.solo.resize(setup.tenants.size());
     // Each solo builds its own private simulator, so baselines fan out on
-    // the same executor; one thread reproduces today's sequential loop.
+    // the same executor; one thread reproduces the sequential loop.
     exec.run_epoch(setup.tenants.size(), [&](std::size_t i) {
-      result.solo[i] = host != nullptr ? host->run_solo(i)
-                                       : sharded->run_solo(i);
+      result.solo[i] = host.run_solo(i);
     });
   }
   result.report = tenant::build_fairness_report(setup.tenants,

@@ -12,9 +12,9 @@
 /// migration converts a bad initial decision into copy traffic that itself
 /// competes on the shared pipes (`sched::IoClass::kMigration`).
 ///
-/// `MultiClusterHost` with one cluster reproduces
-/// `tenant::SharedClusterHost` exactly (same seeds, same attach order, same
-/// weight fold), so every single-cluster result is unchanged.
+/// `ShardedHost` with one cluster reproduces `tenant::SharedClusterHost`
+/// exactly (same seeds, same attach order, same weight fold), so every
+/// single-cluster result is unchanged.
 
 #include <cstddef>
 #include <cstdint>
@@ -102,25 +102,6 @@ struct PlacementConfig {
   /// Concurrency / copy-bandwidth caps on rebalancing (defaults reproduce
   /// the single-migration, unpaced behaviour exactly).
   MigrationBudget budget;
-
-  /// Epoch-sliced parallel execution (rebalancing fleets only): length of
-  /// one slice — the interval between coordinator barriers where the
-  /// placement policy runs and shard fusion/splitting is decided.  0 (the
-  /// default) uses `rebalance_interval`, so rebalance decisions keep their
-  /// single-simulator cadence.
-  SimTime slice = 0;
-
-  /// Shard construction (set by `ShardedHost`, not by end users): this
-  /// host's cluster `c` is cluster `first_cluster + c` of the fleet, so its
-  /// seed strides — and therefore every digest — match the cluster's
-  /// single-simulator identity.
-  int first_cluster = 0;
-
-  /// When non-empty, `plan_placement` returns this verbatim (one local
-  /// cluster index per tenant) instead of running the policy.  The sharded
-  /// run plans once globally, then pins each shard's slice so a policy
-  /// re-run over the filtered tenant list cannot diverge from the plan.
-  std::vector<int> fixed_assignment;
 };
 
 /// Pure placement planning (exposed for tests): cluster index per tenant,
@@ -135,10 +116,11 @@ struct MigrationRecord {
   MigrationStats stats;
 };
 
-/// Accounting for the epoch-sliced parallel run (zero on the single-sim
-/// and static-shard paths).  Reported, never digest-mixed: the partition
-/// evolution depends only on config + signals, so these are themselves
-/// thread-count-invariant, but they describe the engine, not the fleet.
+/// Accounting for the slice loop (zero for a static fleet, which runs its
+/// measured window as one unbounded slice).  Reported, never digest-mixed:
+/// the partition evolution depends only on config + signals, so these are
+/// themselves thread-count-invariant, but they describe the engine, not the
+/// fleet.
 struct SliceExecStats {
   std::uint64_t slices = 0;   ///< slice barriers crossed
   std::uint64_t fusions = 0;  ///< net group merges across barriers
@@ -169,183 +151,47 @@ struct PlacementResult {
   /// digest-mixed (digests pin tenant- and cluster-observable outcomes;
   /// occupancy is derived accounting).
   std::vector<ebs::ClusterBusyStats> busy;
-  /// Events processed by the host simulator(s) over fill + measure — the
-  /// numerator of the parallel engine's events/sec trajectory.  Sharded
-  /// runs sum their shard simulators; the total matches the single-sim run
-  /// because every event belongs to exactly one cluster's shard.
+  /// Events processed by the cluster simulators over fill + measure — the
+  /// numerator of the parallel engine's events/sec trajectory.  Every event
+  /// belongs to exactly one cluster's simulator.
   std::uint64_t sim_events = 0;
-  /// Slice/fusion accounting when the run used the epoch-sliced engine.
+  /// Slice/fusion accounting of the slice loop.
   SliceExecStats sliced;
 };
 
-/// N tenants over K clusters: one simulator, one `EssdDevice` +
-/// `wl::LoadSource` (closed-loop job or open-loop replay) per tenant,
-/// per-cluster WFQ weight folds, and optional watermark-driven live
-/// migration while the tenants run.
-class MultiClusterHost {
- public:
-  MultiClusterHost(sim::Simulator& sim, const essd::EssdConfig& base,
-                   std::vector<tenant::TenantSpec> tenants,
-                   const PlacementConfig& cfg);
-
-  PlacementResult run();
-
-  /// The two phases of `run()`, split so `ShardedHost` can put an epoch
-  /// barrier between them.  `run_fill()` preconditions every tenant and
-  /// drains; `run_measure(t)` advances the (idle) clock to `t` — the fleet-
-  /// wide measured-window start — then starts the loads and collects.
-  /// `run()` is exactly `run_fill()` + `run_measure(sim.now())`, so the
-  /// single-host path is untouched.
-  void run_fill();
-  PlacementResult run_measure(SimTime measure_start);
-
-  /// Finer-grained measure phases for the epoch-sliced engine:
-  /// `begin_measure(t)` advances the idle clock to `t`, snapshots the
-  /// before-stats, and starts every load; `collect_measure()` (after the
-  /// caller drained the simulator however it liked — `sim.run()`, or slice
-  /// by slice under a coordinator) builds the result.  `run_measure` is
-  /// exactly begin + internal rebalance scheduling + `sim.run()` + collect.
-  void begin_measure(SimTime measure_start);
-  PlacementResult collect_measure();
-
-  std::size_t tenant_count() const { return tenants_.size(); }
-  const tenant::TenantSpec& spec(std::size_t i) const { return tenants_[i]; }
-  int cluster_count() const { return static_cast<int>(clusters_.size()); }
-  const ebs::StorageCluster& cluster(int c) const {
-    return *clusters_[static_cast<std::size_t>(c)];
-  }
-  /// Mutable cluster/device access for the sliced coordinator, which wires
-  /// cross-shard migrations through the shard hosts' own objects.
-  ebs::StorageCluster& cluster_mut(int c) {
-    return *clusters_[static_cast<std::size_t>(c)];
-  }
-  essd::EssdDevice& device_mut(std::size_t i) { return *devices_[i]; }
-  /// Whether tenant `i`'s load source has completed (fill + measured run).
-  bool tenant_finished(std::size_t i) const { return sources_[i]->finished(); }
-  int cluster_of(std::size_t tenant) const { return cluster_of_[tenant]; }
-  /// The volume currently serving tenant `i` (its new home after a
-  /// migration cut over).
-  ebs::VolumeId volume_of(std::size_t tenant) const {
-    return volume_of_[tenant];
-  }
-  const essd::EssdDevice& device(std::size_t i) const { return *devices_[i]; }
-  const std::vector<MigrationRecord>& migrations() const { return records_; }
-  /// Live migrations currently copying (started, not yet cut over).
-  int active_migrations() const;
-  int peak_concurrent_migrations() const { return peak_concurrent_; }
-
-  /// One watermark check right now; starts (at most) one migration, within
-  /// the configured `MigrationBudget`.  Returns whether it did.  Bytes-
-  /// driven policies keep the original largest-volume-off-the-biggest-
-  /// cluster repair; `kLeastInterference` moves the expectedly-hottest
-  /// volume off the cluster with the largest busy/stall delta since the
-  /// previous check.
-  bool maybe_rebalance();
-
-  /// Solo baseline for tenant `i`: alone on a private cluster derived from
-  /// the same per-cluster base profile and local attach index it had in the
-  /// colocated run, so only colocation differs.
-  wl::JobStats run_solo(std::size_t i) const;
-
- private:
-  /// `base` with cluster `c`'s seed offsets and weight fold applied.
-  essd::EssdConfig cluster_base(int c) const;
-  void start_migration(std::size_t tenant, int to_cluster);
-  void schedule_rebalance_check();
-  bool all_runners_finished() const;
-  /// Budget admission shared by both rebalance paths.
-  bool under_migration_budget() const;
-  bool maybe_rebalance_bytes();
-  bool maybe_rebalance_signal();
-
-  sim::Simulator& sim_;
-  essd::EssdConfig base_;
-  PlacementConfig cfg_;
-  std::vector<tenant::TenantSpec> tenants_;
-  std::vector<int> initial_cluster_;
-  std::vector<int> cluster_of_;
-  std::vector<ebs::VolumeId> volume_of_;
-  std::vector<std::size_t> local_index_;  ///< attach index within the cluster
-  std::vector<std::vector<double>> cluster_weights_;  ///< fold per cluster
-  std::vector<std::unique_ptr<ebs::StorageCluster>> clusters_;
-  std::vector<std::unique_ptr<essd::EssdDevice>> devices_;
-  std::vector<std::unique_ptr<wl::LoadSource>> sources_;
-  /// Live migrations, up to `budget.max_concurrent` unfinished at a time;
-  /// finished migrators are kept (their stats back the records).
-  std::vector<std::unique_ptr<VolumeMigrator>> migrators_;
-  std::vector<VolumeMigrator*> record_migrator_;  ///< records_[i]'s migrator
-  MigrationPacer pacer_;  ///< shared copy-bandwidth budget
-  std::vector<MigrationRecord> records_;
-  std::vector<bool> migrating_;  ///< tenant currently mid-migration
-  std::vector<bool> migrated_;   ///< tenant already moved once (signal path)
-  /// Per-cluster busy/stall signal at the previous rebalance check — the
-  /// baseline the signal-driven path diffs against.
-  std::vector<SimTime> signal_at_check_;
-  /// Before-stats snapshotted by `begin_measure` so `collect_measure` can
-  /// report window deltas.
-  std::vector<ebs::ClusterStats> cluster_before_;
-  std::vector<ebs::CleanerStats> cleaner_before_;
-  std::vector<ebs::ClusterBusyStats> busy_before_;
-  SimTime measure_start_ = 0;
-  int peak_concurrent_ = 0;
-  bool filled_ = false;
-  bool measuring_ = false;
-  bool ran_ = false;
-};
-
-/// How a fleet splits into independently-advancing shards.  Shard `s`
-/// covers the contiguous global clusters [`first_cluster[s]`,
-/// `first_cluster[s] + clusters[s]`).  The partition depends only on the
-/// placement config — never on the thread count — so per-shard results are
-/// comparable across any `--threads` value.
-struct ShardPlan {
-  std::vector<int> first_cluster;
-  std::vector<int> clusters;
-
-  std::size_t shards() const { return first_cluster.size(); }
-  int shard_of_cluster(int c) const;
-};
-
-/// The partition rule (see docs/ARCHITECTURE.md, "Threading model"):
-/// one shard per cluster, always.  With rebalancing off, clusters never
-/// interact and the shards are independent for the whole run; with
-/// rebalancing on, live migration couples *specific* cluster pairs for a
-/// *bounded window*, and the epoch-sliced engine fuses exactly those
-/// shards for exactly that window instead of co-sharding the whole fleet.
-ShardPlan compute_shard_plan(const PlacementConfig& cfg);
-
-/// One FNV-1a digest per shard condensing everything tenant- and
+/// One FNV-1a digest per cluster condensing everything tenant- and
 /// cluster-observable about its run: per-tenant job stats, latency/slowdown
 /// percentiles, backlog peaks, trace summaries, final placement, and
-/// per-cluster + cleaner counters.  Computed from the *merged* result, so
-/// the single-simulator run and any sharded run digest through the same
-/// code — "identical at every thread count" is a vector equality.
-std::vector<std::uint64_t> shard_digests(const ShardPlan& plan,
-                                         const PlacementResult& merged);
+/// per-cluster + cleaner counters.  A tenant digests into the cluster that
+/// planned it, a migration into its source cluster.  Computed from the
+/// merged result, so "identical at every thread count" is a vector
+/// equality.
+std::vector<std::uint64_t> shard_digests(const PlacementResult& merged);
 
-/// The parallel fleet: the same tenants, policy, and seeds as one
-/// `MultiClusterHost`, but partitioned by `compute_shard_plan` into
-/// single-`Simulator` shards that advance concurrently on a
+/// The colocation host for any number of clusters: N tenants over K
+/// clusters, each cluster a *shard* on its own `Simulator` with the
+/// `EssdDevice` + `wl::LoadSource` (closed-loop job or open-loop replay) of
+/// every tenant planned onto it.  Shards advance concurrently on a
 /// `sim::ParallelExecutor`.
 ///
-/// Non-rebalancing fleets run the *static* schedule: two epoch barriers
-/// (after the precondition fill, and after the measured run), merged
-/// results bit-identical to the single-simulator host — shards share no
-/// state between barriers, per-cluster seeds come from the global
-/// `first_cluster` offsets, and the fill barrier reproduces the global
-/// measured-window start (the max drain time across shards).
+/// Cluster `c` takes its seeds from `seed + c * kClusterSeedStride` and
+/// folds its WFQ weights in local attach order, so one cluster reproduces
+/// `tenant::SharedClusterHost` exactly.
 ///
-/// Rebalancing fleets (`rebalance_watermark > 1.0`, > 1 cluster) run the
-/// *epoch-sliced* schedule at every thread count: the measured window is
-/// cut into fixed-length slices; within a slice each fused shard group
+/// One schedule: a fill epoch (every shard preconditions and drains), a
+/// barrier that opens the measured window at the slowest drain, then the
+/// slice loop.  A static fleet (no rebalancing, or one cluster) runs the
+/// measured window as one unbounded slice — two epochs in all.  A
+/// rebalancing fleet (`rebalance_watermark > 1.0`, > 1 cluster) cuts it
+/// into `rebalance_interval` slices; within a slice each fused shard group
 /// advances independently; at each slice barrier the coordinator reads the
 /// per-cluster busy/stall signals, runs the placement policy (at most one
 /// migration per barrier, under the `MigrationBudget`), and fuses exactly
-/// the coupled source/dest/home shards of live migrations into merged
-/// groups that advance in event-timestamp lockstep.  After cutover, the
-/// coupling shrinks to {home, destination} until the tenant's load drains,
-/// then the group splits back.  Partition evolution depends only on config
-/// + signals — never on the thread count — so per-shard digests are
+/// the coupled source/dest/home shards of live migrations into groups that
+/// advance in event-timestamp lockstep.  After cutover, the coupling
+/// shrinks to {home, destination} until the tenant's load drains, then the
+/// group splits back.  Partition evolution depends only on config +
+/// signals — never on the thread count — so per-cluster digests are
 /// bit-identical at any `--threads` value.
 class ShardedHost {
  public:
@@ -353,82 +199,95 @@ class ShardedHost {
               std::vector<tenant::TenantSpec> tenants,
               const PlacementConfig& cfg);
 
-  /// Static: two epochs on `exec` (fill, measure) + a coordinator merge.
-  /// Sliced: a fill epoch, then one epoch per slice over the fused groups.
+  /// A fill epoch, then one epoch per slice, then the merge.
   PlacementResult run(sim::ParallelExecutor& exec);
 
-  const ShardPlan& plan() const { return plan_; }
-  std::size_t tenant_count() const { return tenants_.size(); }
-  /// Whether `run` uses the epoch-sliced schedule (rebalancing fleets).
+  int cluster_count() const { return static_cast<int>(shards_.size()); }
+  const ebs::StorageCluster& cluster(int c) const {
+    return *shards_[static_cast<std::size_t>(c)].cluster;
+  }
+  /// The volume currently serving tenant `i` (its new home's volume after a
+  /// migration cut over).
+  ebs::VolumeId volume_of(std::size_t i) const;
+  /// Whether `run` cuts the measured window into rebalance slices.
   bool sliced() const { return sliced_; }
   void check_invariants() const;
-  /// Same solo baseline the single-simulator host would compute: the shard
-  /// host owning tenant `i` reruns it alone with its global cluster seeds.
+  /// Solo baseline for tenant `i`: alone on a private cluster derived from
+  /// the same per-cluster base profile and local attach index it had in the
+  /// colocated run, so only colocation differs.
   wl::JobStats run_solo(std::size_t i) const;
 
  private:
+  /// One cluster on its own simulator: the devices and load sources of the
+  /// tenants planned onto it, in attach order, and the measured-window
+  /// baselines.
   struct Shard {
-    int first_cluster = 0;  ///< global index of this shard's cluster 0
-    int clusters = 0;
-    std::vector<std::size_t> tenant;  ///< global spec index per local index
-    std::unique_ptr<sim::Simulator> sim;      ///< null when no tenants landed
-    std::unique_ptr<MultiClusterHost> host;   ///< here (static runs only)
+    std::vector<tenant::TenantSpec> specs;  ///< per local index
+    /// The fleet base with this cluster's seed offsets and weight fold.
+    essd::EssdConfig base;
+    std::unique_ptr<sim::Simulator> sim;
+    std::unique_ptr<ebs::StorageCluster> cluster;
+    std::vector<std::unique_ptr<essd::EssdDevice>> devices;
+    std::vector<std::unique_ptr<wl::LoadSource>> sources;
+    ebs::ClusterStats cluster_before;
+    ebs::CleanerStats cleaner_before;
+    ebs::ClusterBusyStats busy_before;
   };
 
-  PlacementResult run_static(sim::ParallelExecutor& exec);
-  PlacementResult run_sliced(sim::ParallelExecutor& exec);
-  /// Coordinator merge shared by both schedules (local -> global indices,
-  /// shard migration logs, makespan/event folds).
-  PlacementResult merge_parts(std::vector<PlacementResult> part,
-                              SimTime measure_start) const;
+  /// Opens `sh`'s measured window at `t0`: advances its idle clock,
+  /// snapshots the before-stats, and starts every load.
+  void begin_measure(Shard& sh, SimTime t0);
+  /// Builds the merged result in spec order from the drained shards.
+  PlacementResult collect(SimTime measure_start) const;
 
-  // --- epoch-sliced engine (coordinator side, barriers only) ---
-  /// Advances every member simulator of one fused group to `bound`,
-  /// stepping the members in event-timestamp lockstep so cross-simulator
-  /// callbacks (migration copies, a cutover tenant's remote cluster) always
-  /// observe aligned clocks.
+  /// Advances every member simulator of one group to `bound` (`kNoTime` =
+  /// drain), stepping the members in event-timestamp lockstep so cross-
+  /// simulator callbacks (migration copies, a cutover tenant's remote
+  /// cluster) always observe aligned clocks.
   void advance_group(const std::vector<std::size_t>& members, SimTime bound);
   /// The current shard partition: union-find over the live couplings
   /// (active migrations couple {home, source, dest}; a cutover-but-
   /// undrained tenant couples {home, current cluster}), rebuilt from
   /// scratch at every barrier, ordered by smallest member shard.
   std::vector<std::vector<std::size_t>> coupled_groups() const;
-  /// One watermark check at a slice barrier; mirrors
-  /// `MultiClusterHost::maybe_rebalance` at fleet scope.
-  bool fleet_rebalance();
-  bool fleet_rebalance_bytes();
-  bool fleet_rebalance_signal();
-  void start_fleet_migration(std::size_t tenant, int to_cluster);
-  /// Collapses the pacers of newly-fused groups into one survivor and gives
-  /// fresh migrations theirs (copy bandwidth is budgeted per fused group).
-  void reconcile_pacers();
-  int fleet_active_migrations() const;
-  bool fleet_under_budget() const;
-  bool fleet_tenant_finished(std::size_t tenant) const;
+  /// One watermark check at a slice barrier; starts (at most) one
+  /// migration, within the configured `MigrationBudget`.  Bytes-driven
+  /// policies move the largest volume off the biggest cluster;
+  /// `kLeastInterference` moves the expectedly-hottest volume off the
+  /// cluster with the largest busy/stall delta since the previous check.
+  bool rebalance();
+  bool rebalance_bytes();
+  bool rebalance_signal();
+  void start_migration(std::size_t tenant, int to_cluster);
+  /// Copy bandwidth is budgeted per fused group: gives every group with
+  /// active migrations exactly one pacer for `groups`, merging the pacers
+  /// of groups that fused and copying the pacer of a group that split.
+  void reconcile_pacers(const std::vector<std::vector<std::size_t>>& groups);
+  int active_migrations() const;
+  bool under_budget() const;
+  bool tenant_finished(std::size_t tenant) const;
 
-  essd::EssdConfig base_;
   PlacementConfig cfg_;
   std::vector<tenant::TenantSpec> tenants_;
-  std::vector<int> planned_;  ///< global cluster per tenant (the one plan)
-  ShardPlan plan_;
-  std::vector<Shard> shards_;
+  std::vector<int> planned_;  ///< cluster per tenant (the one plan)
+  std::vector<Shard> shards_;  ///< one per cluster
   std::vector<std::size_t> shard_of_tenant_;
   std::vector<std::size_t> local_of_tenant_;
-
-  // Sliced-mode coordinator state.  Mutated either at barriers (single
-  // threaded) or from migration done-callbacks, which run on the worker
-  // advancing the migration's fused group — distinct tenants/records per
-  // group, and byte-sized flags, so groups never race.
   bool sliced_ = false;
-  SimTime slice_ = 0;
-  std::vector<int> fleet_cluster_of_;          ///< current cluster per tenant
-  std::vector<std::uint8_t> fleet_migrating_;  ///< mid-migration
-  std::vector<std::uint8_t> fleet_migrated_;   ///< moved once (signal path)
-  std::vector<std::unique_ptr<VolumeMigrator>> migrators_;
-  std::vector<VolumeMigrator*> record_migrator_;
+
+  // Coordinator state.  Mutated either at barriers (single threaded) or
+  // from migration done-callbacks, which run on the worker advancing the
+  // migration's fused group — distinct tenants/records per group, and
+  // byte-sized flags, so groups never race.
+  std::vector<int> cluster_of_;          ///< current cluster per tenant
+  std::vector<std::uint8_t> migrating_;  ///< mid-migration
+  std::vector<std::uint8_t> migrated_;   ///< moved once (signal path)
+  std::vector<std::unique_ptr<VolumeMigrator>> migrators_;  ///< per record
   std::vector<MigrationPacer*> record_pacer_;  ///< per record; null = unpaced
   std::vector<std::unique_ptr<MigrationPacer>> pacers_;
   std::vector<MigrationRecord> records_;
+  /// Per-cluster busy/stall signal at the previous rebalance check — the
+  /// baseline the signal-driven policy diffs against.
   std::vector<SimTime> signal_at_check_;
   int peak_concurrent_ = 0;
   SliceExecStats slice_stats_;
@@ -462,17 +321,15 @@ struct PlacementScenarioResult {
   std::vector<ebs::CleanerStats> cleaner;
   std::vector<ebs::ClusterBusyStats> busy;
   SimTime makespan = 0;
-  /// Per-shard FNV digests (`shard_digests` over `compute_shard_plan`) and
-  /// total simulator events — always computed, so single- and multi-thread
-  /// runs of the same scenario can be compared with one vector equality.
+  /// Per-cluster FNV digests (`shard_digests`) and total simulator events —
+  /// always computed, so runs of the same scenario at different thread
+  /// counts can be compared with one vector equality.
   std::vector<std::uint64_t> shard_digest;
   std::uint64_t sim_events = 0;
 };
 
-/// Honors `opt.base.threads`: 1 (the default) runs the existing
-/// single-simulator `MultiClusterHost` path unchanged; > 1 runs the same
-/// fleet as a `ShardedHost` on that many worker threads (solo baselines
-/// fan out per tenant on the same executor).
+/// Runs the scenario as a `ShardedHost` on `opt.base.threads` worker
+/// threads (solo baselines fan out per tenant on the same executor).
 PlacementScenarioResult run_placement_scenario(
     tenant::Scenario s, const PlacementScenarioOptions& opt);
 

@@ -24,9 +24,9 @@
 ///
 /// The worker pool is **persistent**: `threads - 1` workers are created in
 /// the constructor and parked on a generation-counted condvar barrier; the
-/// coordinating thread claims shards alongside them.  Epoch-sliced
-/// execution (`placement::ShardedHost` under rebalancing) crosses the
-/// barrier once per slice x partition — thousands of times per run — so
+/// coordinating thread claims shards alongside them.  A rebalancing
+/// `placement::ShardedHost` crosses the barrier once per slice over its
+/// fused shard groups — up to thousands of times per run — so
 /// the dispatch cost is a wake + join, never a `std::thread` spawn
 /// (`BM_ParallelEpochBarrier` tracks it).  An exception thrown by a shard
 /// body — on any thread — is captured, the remaining shards still run (so

@@ -156,8 +156,8 @@ class Simulator {
   /// empty.  Non-const only because cancelled keys surfacing at the heap
   /// top are recycled on the way (observable state is unchanged) — the
   /// peek primitive of lockstep co-simulation, where a driver advances a
-  /// *group* of simulators in global time order (`placement::ShardedHost`
-  /// fused shards).
+  /// *group* of simulators in global time order (a fused shard group of a
+  /// rebalancing `placement::ShardedHost`).
   SimTime next_event_time();
 
   /// Advances the clock to `t` without firing anything; every live event

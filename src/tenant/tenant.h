@@ -76,8 +76,8 @@ struct HostResult {
 
 /// Runs every tenant's precondition fill concurrently (tenant `i`'s device
 /// is resolved via `device(i)`) and drains the simulator.  Shared by
-/// `SharedClusterHost` and `placement::MultiClusterHost` so single- and
-/// multi-cluster runs precondition identically.
+/// `SharedClusterHost` and every shard of `placement::ShardedHost` so
+/// single- and multi-cluster runs precondition identically.
 void run_preconditions(sim::Simulator& sim,
                        const std::vector<TenantSpec>& tenants,
                        const std::function<BlockDevice&(std::size_t)>& device);

@@ -12,7 +12,7 @@
 /// submissions follow trace timestamps whether or not the device keeps up,
 /// so overload shows as divergent slowdown and backlog instead of a gentle
 /// throughput plateau.  Every consumer — `tenant::SharedClusterHost`,
-/// `placement::MultiClusterHost`, the benches — drives a `LoadSource` and
+/// `placement::ShardedHost`, the benches — drives a `LoadSource` and
 /// therefore runs either mode unchanged.
 
 #include <cstdint>

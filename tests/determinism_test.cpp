@@ -203,8 +203,9 @@ TEST(Determinism, ThreeTenantSeedsDiverge) {
 // Parallel engine: the determinism matrix.  The same 4-cluster replay fleet
 // runs at 1/2/4/8 threads; per-shard digests, the merged fairness report,
 // the contract verdicts, and the event totals must all be identical.
-// threads=1 takes the single-simulator `MultiClusterHost` path, so this is
-// also the sharded-vs-legacy equivalence proof, not just shard scheduling.
+// The digests pinned below were first captured on the retired single-
+// simulator host, so this is also the sharded-vs-legacy equivalence proof,
+// not just shard scheduling.
 // ---------------------------------------------------------------------------
 
 placement::PlacementScenarioResult run_replay_fleet(int threads) {
@@ -335,6 +336,46 @@ TEST(Determinism, SlicedRebalanceDigestMatrixIsPinned) {
     EXPECT_EQ(r.raw.sliced.splits, base.raw.sliced.splits);
     EXPECT_EQ(r.raw.sliced.max_group_clusters,
               base.raw.sliced.max_group_clusters);
+  }
+}
+
+// A fused group can split while two of its migrations are still copying.
+// The two halves then advance on different workers, so each needs its own
+// copy-bandwidth pacer (a copy of the shared one, reservation high-water
+// included).  Sharing one pacer across the halves is a data race at > 1
+// thread and, even at one thread, makes a copy fragment in one half wait
+// on reservations made by the other — one extra event here.  This fleet
+// (8 clusters x 64 tenants, the read-heavy budgeted rebalancing mix, seed
+// 3) splits a paced group while both copies are live.
+fleet::FleetReport run_pacer_split_fleet(int threads) {
+  fleet::FleetSpec spec;
+  spec.clusters = 8;
+  spec.tenants = 64;
+  spec.seed = 3;
+  spec.duration = 800 * kMs;
+  spec.diurnal_period = spec.duration / 2;
+  spec.policy = placement::Policy::kLeastInterference;
+  spec.write_fraction = 0.1;
+  spec.rebalance_watermark = 1.1;
+  spec.rebalance_interval = spec.duration / 16;
+  spec.budget.max_concurrent = 4;
+  spec.budget.copy_bandwidth_bps = 400e6;
+  spec.budget.max_total = spec.clusters;
+  return fleet::run_fleet(spec, {.threads = threads});
+}
+
+TEST(Determinism, SplitGroupsGetTheirOwnPacer) {
+  const std::vector<std::uint64_t> want = {
+      1285916936980978236ull,  11569213939433785671ull,
+      911658705557250086ull,   12773100575610704929ull,
+      2007871321049367819ull,  17801596840146895734ull,
+      10217401483836447346ull, 9133463266419390974ull};
+  for (const int threads : {1, 2, 4}) {
+    const fleet::FleetReport r = run_pacer_split_fleet(threads);
+    EXPECT_EQ(r.digests, want) << "threads " << threads;
+    EXPECT_EQ(r.sim_events, 97711u) << "threads " << threads;
+    EXPECT_EQ(r.migrations, 8) << "threads " << threads;
+    EXPECT_EQ(r.raw.sliced.splits, 6u) << "threads " << threads;
   }
 }
 

@@ -1,7 +1,8 @@
-// Cross-cluster placement tests: policy planning, single-cluster
-// equivalence with SharedClusterHost, spread-vs-pack isolation on the
-// noisy-neighbour scenario, and live volume migration (data integrity,
-// source release, and watermark-driven rebalancing of a packed placement).
+// Cross-cluster placement tests: policy planning, the sharded host's
+// equivalence with SharedClusterHost and with the retired single-simulator
+// host, spread-vs-pack isolation on the noisy-neighbour scenario, and live
+// volume migration (data integrity, source release, and watermark-driven
+// rebalancing of a packed placement).
 
 #include <gtest/gtest.h>
 
@@ -97,57 +98,11 @@ TEST(PlanPlacement, LeastWeightBalancesWeights) {
             (std::vector<int>{0, 1, 1, 1}));
 }
 
-TEST(PlanPlacement, FixedAssignmentBypassesThePolicy) {
-  placement::PlacementConfig cfg;
-  cfg.clusters = 3;
-  cfg.policy = placement::Policy::kSpread;  // would give {0, 1, 2, 0}
-  cfg.fixed_assignment = {2, 2, 0, 1};
-  std::vector<tenant::TenantSpec> tenants(4);
-  for (auto& t : tenants) t.capacity_bytes = 64 * kMiB;
-  EXPECT_EQ(placement::plan_placement(cfg, tenants),
-            (std::vector<int>{2, 2, 0, 1}));
-}
-
-TEST(ShardPlan, OneShardPerClusterWithoutRebalancing) {
-  placement::PlacementConfig cfg;
-  cfg.clusters = 4;
-  const placement::ShardPlan plan = placement::compute_shard_plan(cfg);
-  ASSERT_EQ(plan.shards(), 4u);
-  for (int c = 0; c < 4; ++c) {
-    EXPECT_EQ(plan.first_cluster[static_cast<std::size_t>(c)], c);
-    EXPECT_EQ(plan.clusters[static_cast<std::size_t>(c)], 1);
-    EXPECT_EQ(plan.shard_of_cluster(c), c);
-  }
-}
-
-TEST(ShardPlan, RebalancingFleetStaysShardPerCluster) {
-  // Live migration couples specific cluster pairs for bounded windows; the
-  // epoch-sliced engine fuses exactly those shards at runtime, so the plan
-  // never co-shards the whole fleet.
-  placement::PlacementConfig cfg;
-  cfg.clusters = 4;
-  cfg.rebalance_watermark = 1.25;
-  const placement::ShardPlan plan = placement::compute_shard_plan(cfg);
-  ASSERT_EQ(plan.shards(), 4u);
-  for (int c = 0; c < 4; ++c) {
-    EXPECT_EQ(plan.first_cluster[static_cast<std::size_t>(c)], c);
-    EXPECT_EQ(plan.clusters[static_cast<std::size_t>(c)], 1);
-    EXPECT_EQ(plan.shard_of_cluster(c), c);
-  }
-}
-
-TEST(ShardPlan, SingleClusterIsOneShard) {
-  placement::PlacementConfig cfg;
-  cfg.clusters = 1;
-  const placement::ShardPlan plan = placement::compute_shard_plan(cfg);
-  ASSERT_EQ(plan.shards(), 1u);
-  EXPECT_EQ(plan.clusters[0], 1);
-}
-
 TEST(ShardedHost, MergesIdenticallyToSingleSimulatorHost) {
-  // Three tenants over three clusters, one tenant each: the sharded run's
-  // merged result must match the single-simulator host field for field,
-  // including the per-shard digests computed from either side.
+  // Three tenants over three clusters, one tenant each.  The reference is
+  // the retired single-simulator host (every cluster on one simulator),
+  // whose per-cluster digests, window and event count are pinned here: the
+  // sharded run must reproduce them at any thread count.
   std::vector<tenant::TenantSpec> tenants;
   tenants.push_back(small_tenant("a", 64 * kMiB, 400, 11));
   tenants.push_back(small_tenant("b", 64 * kMiB, 400, 22));
@@ -158,35 +113,28 @@ TEST(ShardedHost, MergesIdenticallyToSingleSimulatorHost) {
   essd::EssdConfig base = essd::aws_io2_profile(64 * kMiB);
   base.cluster.spare_pool_bytes = 192 * kMiB;
 
-  sim::Simulator sim;
-  placement::MultiClusterHost single(sim, base, tenants, cfg);
-  const placement::PlacementResult a = single.run();
+  for (const int threads : {1, 4}) {
+    sim::ParallelExecutor exec(threads);
+    placement::ShardedHost fleet(base, tenants, cfg);
+    EXPECT_FALSE(fleet.sliced());
+    const placement::PlacementResult r = fleet.run(exec);
+    fleet.check_invariants();
+    EXPECT_EQ(exec.epochs(), 2u) << threads;  // fill + one unbounded slice
+    EXPECT_EQ(r.sliced.slices, 0u);
 
-  sim::ParallelExecutor exec(4);
-  placement::ShardedHost fleet(base, tenants, cfg);
-  const placement::PlacementResult b = fleet.run(exec);
-  fleet.check_invariants();
-  EXPECT_EQ(exec.epochs(), 2u);  // fill + measure
-
-  EXPECT_EQ(a.measure_start, b.measure_start);
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.sim_events, b.sim_events);
-  EXPECT_EQ(a.initial_cluster, b.initial_cluster);
-  EXPECT_EQ(a.final_cluster, b.final_cluster);
-  ASSERT_EQ(a.stats.size(), b.stats.size());
-  for (std::size_t i = 0; i < a.stats.size(); ++i) {
-    EXPECT_EQ(a.stats[i].last_complete, b.stats[i].last_complete) << i;
-    EXPECT_EQ(a.stats[i].write_bytes, b.stats[i].write_bytes);
-    EXPECT_EQ(a.stats[i].read_bytes, b.stats[i].read_bytes);
-    EXPECT_DOUBLE_EQ(a.stats[i].all_latency.mean(),
-                     b.stats[i].all_latency.mean());
-    EXPECT_EQ(a.backlog_peak[i], b.backlog_peak[i]);
+    EXPECT_EQ(placement::shard_digests(r),
+              (std::vector<std::uint64_t>{13100601404935730637ull,
+                                          5822525009684999028ull,
+                                          18306368389221112886ull}))
+        << threads;
+    EXPECT_EQ(r.measure_start, 0u);
+    EXPECT_EQ(r.makespan, 37640029u);
+    EXPECT_EQ(r.sim_events, 2400u);
+    EXPECT_EQ(r.initial_cluster, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(r.final_cluster, r.initial_cluster);
+    // Solo baselines keep the tenant's cluster seeds and attach index.
+    EXPECT_EQ(fleet.run_solo(1).last_complete, 37640029u);
   }
-  const placement::ShardPlan plan = placement::compute_shard_plan(cfg);
-  EXPECT_EQ(placement::shard_digests(plan, a), placement::shard_digests(plan, b));
-
-  // Solo baselines agree too (same global seeds through the shard hosts).
-  EXPECT_EQ(single.run_solo(1).last_complete, fleet.run_solo(1).last_complete);
 }
 
 TEST(PrioScheduler, MigrationIsTheLowestClass) {
@@ -209,10 +157,10 @@ TEST(PrioScheduler, MigrationIsTheLowestClass) {
   EXPECT_STREQ(sched::io_class_name(sched::IoClass::kMigration), "migration");
 }
 
-// A one-cluster MultiClusterHost must reproduce SharedClusterHost exactly:
-// same seeds, same attach order, same weight fold, so the placement layer
-// costs single-cluster runs nothing.
-TEST(MultiClusterHost, OneClusterMatchesSharedHost) {
+// A one-cluster ShardedHost must reproduce SharedClusterHost exactly: same
+// seeds, same attach order, same weight fold, so the placement layer costs
+// single-cluster runs nothing.
+TEST(ShardedHost, OneClusterMatchesSharedHost) {
   essd::EssdConfig base = essd::aws_io2_profile(64 * kMiB);
   base.cluster.spare_pool_bytes = 128 * kMiB;
   std::vector<tenant::TenantSpec> tenants;
@@ -223,13 +171,14 @@ TEST(MultiClusterHost, OneClusterMatchesSharedHost) {
   tenant::SharedClusterHost shared(sim_a, base, tenants);
   const auto a = shared.run();
 
-  sim::Simulator sim_b;
+  sim::ParallelExecutor exec(1);
   placement::PlacementConfig cfg;  // one cluster, any policy
-  placement::MultiClusterHost multi(sim_b, base, tenants, cfg);
-  const auto b = multi.run();
+  placement::ShardedHost multi(base, tenants, cfg);
+  const auto b = multi.run(exec);
 
   ASSERT_EQ(a.stats.size(), b.stats.size());
   EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.measure_start, b.measure_start);
   for (std::size_t i = 0; i < a.stats.size(); ++i) {
     EXPECT_EQ(a.stats[i].total_ops(), b.stats[i].total_ops());
     EXPECT_EQ(a.stats[i].last_complete, b.stats[i].last_complete);
@@ -356,7 +305,7 @@ TEST(VolumeMigrator, PreservesStampsAndReleasesSource) {
 // (everyone on cluster 0 of 2) plus a watermark triggers live migration
 // during the run, tenants land spread across both clusters, every job still
 // completes, and the copy shows up in the migration log.
-TEST(MultiClusterHost, WatermarkMigrationRebalancesPackedPlacement) {
+TEST(ShardedHost, WatermarkMigrationRebalancesPackedPlacement) {
   essd::EssdConfig base = essd::aws_io2_profile(64 * kMiB);
   base.cluster.spare_pool_bytes = 256 * kMiB;
   std::vector<tenant::TenantSpec> tenants;
@@ -374,9 +323,9 @@ TEST(MultiClusterHost, WatermarkMigrationRebalancesPackedPlacement) {
   cfg.rebalance_watermark = 1.2;
   cfg.rebalance_interval = 5 * kMs;
 
-  sim::Simulator sim;
-  placement::MultiClusterHost host(sim, base, tenants, cfg);
-  const auto result = host.run();
+  sim::ParallelExecutor exec(1);
+  placement::ShardedHost host(base, tenants, cfg);
+  const auto result = host.run(exec);
 
   EXPECT_EQ(result.initial_cluster, (std::vector<int>{0, 0, 0}));
   ASSERT_GE(result.migrations.size(), 1u);
@@ -414,13 +363,12 @@ TEST(MultiClusterHost, WatermarkMigrationRebalancesPackedPlacement) {
 }
 
 TEST(SlicedShardedHost, FusedRebalanceIsThreadCountInvariant) {
-  // The same packed fleet the single-sim watermark test repairs, but run
-  // through the epoch-sliced ShardedHost: cluster 1 starts empty (pack is
-  // unbounded), so the coordinator must migrate into an idle shard, fusing
-  // {source, destination} while the copy is live and splitting back after
-  // the cutover drains.  Digests and slice accounting must be identical at
-  // every thread count — including one thread, which runs the same sliced
-  // schedule inline.
+  // The same packed fleet the watermark test repairs: cluster 1 starts
+  // empty (pack is unbounded), so the coordinator must migrate into an idle
+  // shard, fusing {source, destination} while the copy is live and
+  // splitting back after the cutover drains.  Digests and slice accounting
+  // must be identical at every thread count — including one thread, which
+  // runs the same slices inline.
   essd::EssdConfig base = essd::aws_io2_profile(64 * kMiB);
   base.cluster.spare_pool_bytes = 256 * kMiB;
   std::vector<tenant::TenantSpec> tenants;
@@ -463,12 +411,11 @@ TEST(SlicedShardedHost, FusedRebalanceIsThreadCountInvariant) {
   EXPECT_GE(r1.sliced.splits, 1u);   // and split back once it drained
   EXPECT_EQ(r1.sliced.max_group_clusters, 2);
 
-  const placement::ShardPlan plan = placement::compute_shard_plan(cfg);
-  ASSERT_EQ(plan.shards(), 2u);  // rebalancing no longer co-shards
-  const std::vector<std::uint64_t> d1 = placement::shard_digests(plan, r1);
+  const std::vector<std::uint64_t> d1 = placement::shard_digests(r1);
+  ASSERT_EQ(d1.size(), 2u);  // one digest per cluster
   for (const int threads : {2, 4}) {
     const placement::PlacementResult rt = run_with(threads);
-    EXPECT_EQ(placement::shard_digests(plan, rt), d1) << threads;
+    EXPECT_EQ(placement::shard_digests(rt), d1) << threads;
     EXPECT_EQ(rt.sim_events, r1.sim_events) << threads;
     EXPECT_EQ(rt.sliced.slices, r1.sliced.slices) << threads;
     EXPECT_EQ(rt.sliced.fusions, r1.sliced.fusions) << threads;
