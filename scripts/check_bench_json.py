@@ -42,11 +42,13 @@ def check_busy(path, busy, where):
     for key in ("total", "stall") + IO_CLASSES:
         if key not in busy:
             fail(path, f"{where}.busy_ns missing '{key}'")
-    # Untagged legacy acquires carry no class, so the slices sum to <= total
-    # (1 ns of slack for the integer accumulation).
+    # Every reservation is charged to its tag's class (an untagged one to
+    # fg-write), so the slices sum to the total (1 ns of slack for the
+    # integer accumulation).
     sliced = sum(busy[c] for c in IO_CLASSES)
-    if sliced > busy["total"] + 1:
-        fail(path, f"{where}.busy_ns class slices exceed the total")
+    if abs(sliced - busy["total"]) > 1:
+        fail(path, f"{where}.busy_ns class slices sum to {sliced}, "
+                   f"not the total {busy['total']}")
 
 
 def check_scenario(path, s):

@@ -46,6 +46,12 @@ constexpr double ns_per_byte_from_mbps(double mb_per_s) {
   return mb_per_s <= 0.0 ? 0.0 : 1000.0 / mb_per_s;
 }
 
+/// Time to move `bytes` through a pipe of `ns_per_byte`, truncated to whole
+/// nanoseconds.
+constexpr SimTime transfer_ns(std::uint64_t bytes, double ns_per_byte) {
+  return static_cast<SimTime>(static_cast<double>(bytes) * ns_per_byte);
+}
+
 /// Converts seconds (double) into SimTime nanoseconds.
 constexpr SimTime seconds(double s) { return static_cast<SimTime>(s * 1e9); }
 

@@ -656,8 +656,8 @@ ClusterBusyStats StorageCluster::busy_stats() const {
           q.class_busy_time(static_cast<sched::IoClass>(c));
     }
   };
-  for (const auto& r : node_append_) add(r.sched());
-  for (const auto& r : node_read_) add(r.sched());
+  for (const auto& r : node_append_) add(r);
+  for (const auto& r : node_read_) add(r);
   add(cleaner_->pipe());
   s.busy_ns += fabric_.total_busy_ns();
   for (int c = 0; c < sched::kIoClassCount; ++c) {

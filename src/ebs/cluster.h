@@ -34,9 +34,9 @@
 #include "ebs/segment_store.h"
 #include "ftl/mapping.h"
 #include "net/fabric.h"
+#include "sched/queued_resource.h"
 #include "sched/sched.h"
 #include "sim/latency_model.h"
-#include "sim/resources.h"
 #include "sim/simulator.h"
 
 namespace uc::ebs {
@@ -129,8 +129,9 @@ ClusterStats subtract(const ClusterStats& a, const ClusterStats& b);
 /// This is the interference *signal* the placement layer steers by
 /// (`placement::Policy::kLeastInterference`): a cluster hot on busy or
 /// stall time is a bad home for a new volume even when its attached bytes
-/// look modest.  Legacy untagged reservations carry no class, so the class
-/// slices sum to at most `busy_ns`.
+/// look modest.  Every reservation is charged to its tag's class (an
+/// untagged one to `SchedTag{}`'s `kFgWrite`), so the class slices sum
+/// exactly to `busy_ns`.
 struct ClusterBusyStats {
   SimTime busy_ns = 0;
   std::array<SimTime, sched::kIoClassCount> class_busy_ns{};
@@ -349,8 +350,8 @@ class StorageCluster {
   std::unique_ptr<Cleaner> cleaner_;
   sim::LatencyModel replica_write_;
   sim::LatencyModel replica_read_;
-  std::vector<sim::SerialResource> node_append_;
-  std::vector<sim::SerialResource> node_read_;
+  std::vector<sched::QueuedResource> node_append_;
+  std::vector<sched::QueuedResource> node_read_;
   std::vector<LruReadyCache<std::uint64_t>> node_caches_;
   /// Per-node flash index (empty unless `cfg.model_node_index`).
   std::vector<std::unique_ptr<ftl::MappingPolicy>> node_index_;

@@ -21,6 +21,14 @@ Status EssdConfig::validate() const {
   if (capacity_bytes % cluster.chunk_bytes != 0) {
     return Status::invalid_argument("capacity must be a chunk multiple");
   }
+  // Written as !(x > 0) so a NaN rate is rejected too.
+  if (!(cluster.fabric.vm_nic_mbps > 0.0) ||
+      !(cluster.fabric.node_nic_mbps > 0.0)) {
+    return Status::invalid_argument("NIC bandwidths must be positive");
+  }
+  if (!(cluster.node_append_mbps > 0.0) || !(cluster.node_read_mbps > 0.0)) {
+    return Status::invalid_argument("node bandwidths must be positive");
+  }
   if (cluster.model_node_index) {
     if (const Status s = cluster.node_mapping.validate(); !s.is_ok()) {
       return s;

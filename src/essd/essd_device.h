@@ -19,6 +19,7 @@
 #include "ebs/cluster.h"
 #include "essd/essd_config.h"
 #include "essd/qos.h"
+#include "sched/queued_resource.h"
 #include "sim/latency_model.h"
 #include "sim/simulator.h"
 
@@ -95,7 +96,7 @@ class EssdDevice : public BlockDevice {
   Rng rng_;
   sim::LatencyModel frontend_write_;
   sim::LatencyModel frontend_read_;
-  sim::SerialResource frontend_pipe_;
+  sched::QueuedResource frontend_pipe_;
   std::unique_ptr<QosGate> qos_;
   std::unique_ptr<ebs::StorageCluster> owned_cluster_;  ///< null when shared
   ebs::StorageCluster* cluster_ = nullptr;

@@ -7,13 +7,14 @@ namespace uc::flash {
 
 NandArray::NandArray(const FlashGeometry& geometry, const FlashTiming& timing,
                      Rng rng)
-    : geometry_(geometry), timing_(timing), rng_(rng) {
+    : geometry_(geometry),
+      timing_(timing),
+      rng_(rng),
+      channel_ns_per_byte_(units::ns_per_byte_from_mbps(timing.channel_mbps)) {
   UC_ASSERT(geometry_.validate().is_ok(), "invalid flash geometry");
+  UC_ASSERT(timing_.channel_mbps > 0.0, "bandwidth must be positive");
   dies_.resize(static_cast<std::size_t>(geometry_.total_dies()));
-  channels_.reserve(static_cast<std::size_t>(geometry_.channels));
-  for (int c = 0; c < geometry_.channels; ++c) {
-    channels_.emplace_back(timing_.channel_mbps);
-  }
+  channels_.resize(static_cast<std::size_t>(geometry_.channels));
 }
 
 NandOpResult NandArray::read_page(SimTime now, int die,
@@ -34,11 +35,11 @@ NandOpResult NandArray::read_row(SimTime now, int die, int pages,
     sense += timing_.suspend_penalty_ns();
   }
   const SimTime sensed = d.read_port.acquire(now, sense);
-  sim::BandwidthPipe& bus = channels_[static_cast<std::size_t>(
+  sched::QueuedResource& bus = channels_[static_cast<std::size_t>(
       geometry_.channel_of_die(die))];
   SimTime done = sensed;
   for (int p = 0; p < pages; ++p) {
-    done = bus.transfer(done, bytes_per_page);
+    done = bus.acquire(done, channel_ns(bytes_per_page));
   }
   counters_.page_reads += static_cast<std::uint64_t>(pages);
   counters_.read_bytes +=
@@ -51,11 +52,11 @@ NandOpResult NandArray::program_row(SimTime now, int die, int pages) {
   UC_ASSERT(pages >= 1 && pages <= geometry_.planes_per_die,
             "multi-plane program bounded by planes per die");
   Die& d = dies_[static_cast<std::size_t>(die)];
-  sim::BandwidthPipe& bus = channels_[static_cast<std::size_t>(
+  sched::QueuedResource& bus = channels_[static_cast<std::size_t>(
       geometry_.channel_of_die(die))];
   SimTime transferred = now;
   for (int p = 0; p < pages; ++p) {
-    transferred = bus.transfer(transferred, geometry_.page_bytes);
+    transferred = bus.acquire(transferred, channel_ns(geometry_.page_bytes));
   }
   const SimTime done = d.program_unit.acquire(transferred, timing_.program_ns());
   counters_.row_programs += 1;

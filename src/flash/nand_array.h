@@ -18,9 +18,10 @@
 
 #include "common/rng.h"
 #include "common/types.h"
+#include "common/units.h"
 #include "flash/geometry.h"
 #include "flash/timing.h"
-#include "sim/resources.h"
+#include "sched/queued_resource.h"
 
 namespace uc::flash {
 
@@ -72,15 +73,20 @@ class NandArray {
 
  private:
   struct Die {
-    sim::SerialResource program_unit;  // programs + erases
-    sim::SerialResource read_port;     // array reads
+    sched::QueuedResource program_unit;  // programs + erases
+    sched::QueuedResource read_port;     // array reads
   };
+
+  SimTime channel_ns(std::uint64_t bytes) const {
+    return units::transfer_ns(bytes, channel_ns_per_byte_);
+  }
 
   FlashGeometry geometry_;
   FlashTiming timing_;
   Rng rng_;
+  double channel_ns_per_byte_;
   std::vector<Die> dies_;
-  std::vector<sim::BandwidthPipe> channels_;
+  std::vector<sched::QueuedResource> channels_;
   NandCounters counters_;
 };
 

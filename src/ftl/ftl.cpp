@@ -21,6 +21,9 @@ double FtlConfig::op_ratio() const {
 
 Status FtlConfig::validate() const {
   if (Status s = geometry.validate(); !s.is_ok()) return s;
+  if (!(timing.channel_mbps > 0.0)) {  // NaN fails too
+    return Status::invalid_argument("channel bandwidth must be positive");
+  }
   if (user_capacity_bytes == 0 ||
       user_capacity_bytes % kLogicalPageBytes != 0) {
     return Status::invalid_argument("user capacity must be 4 KiB aligned");

@@ -9,17 +9,15 @@ namespace uc::net {
 Fabric::Fabric(const FabricConfig& cfg, Rng rng, sim::Simulator* sim)
     : hop_model_(cfg.hop),
       rng_(rng),
-      vm_tx_(cfg.vm_nic_mbps),
-      vm_rx_(cfg.vm_nic_mbps) {
+      vm_ns_per_byte_(units::ns_per_byte_from_mbps(cfg.vm_nic_mbps)),
+      node_ns_per_byte_(units::ns_per_byte_from_mbps(cfg.node_nic_mbps)) {
   UC_ASSERT(cfg.nodes > 0, "fabric needs at least one storage node");
+  UC_ASSERT(cfg.vm_nic_mbps > 0.0 && cfg.node_nic_mbps > 0.0,
+            "bandwidth must be positive");
   UC_ASSERT(cfg.sched.policy == sched::Policy::kFifo || sim != nullptr,
             "non-FIFO fabric scheduling needs a simulator");
-  node_tx_.reserve(static_cast<std::size_t>(cfg.nodes));
-  node_rx_.reserve(static_cast<std::size_t>(cfg.nodes));
-  for (int i = 0; i < cfg.nodes; ++i) {
-    node_tx_.emplace_back(cfg.node_nic_mbps);
-    node_rx_.emplace_back(cfg.node_nic_mbps);
-  }
+  node_tx_.resize(static_cast<std::size_t>(cfg.nodes));
+  node_rx_.resize(static_cast<std::size_t>(cfg.nodes));
   node_tx_bytes_.assign(static_cast<std::size_t>(cfg.nodes), 0);
   node_rx_bytes_.assign(static_cast<std::size_t>(cfg.nodes), 0);
   if (sim != nullptr) {
@@ -32,32 +30,15 @@ Fabric::Fabric(const FabricConfig& cfg, Rng rng, sim::Simulator* sim)
   }
 }
 
-SimTime Fabric::to_node(SimTime now, int node, std::uint64_t bytes) {
-  UC_ASSERT(node >= 0 && node < nodes(), "node out of range");
-  vm_tx_bytes_ += bytes;
-  node_rx_bytes_[static_cast<std::size_t>(node)] += bytes;
-  const SimTime sent = vm_tx_.transfer(now, bytes);
-  const SimTime arrived = sent + hop_model_.sample(rng_, 0);
-  return node_rx_[static_cast<std::size_t>(node)].transfer(arrived, bytes);
-}
-
-SimTime Fabric::to_vm(SimTime now, int node, std::uint64_t bytes) {
-  UC_ASSERT(node >= 0 && node < nodes(), "node out of range");
-  vm_rx_bytes_ += bytes;
-  node_tx_bytes_[static_cast<std::size_t>(node)] += bytes;
-  const SimTime sent = node_tx_[static_cast<std::size_t>(node)].transfer(now, bytes);
-  const SimTime arrived = sent + hop_model_.sample(rng_, 0);
-  return vm_rx_.transfer(arrived, bytes);
-}
-
 SimTime Fabric::to_node(SimTime now, int node, std::uint64_t bytes,
                         const sched::SchedTag& tag) {
   UC_ASSERT(node >= 0 && node < nodes(), "node out of range");
   vm_tx_bytes_ += bytes;
   node_rx_bytes_[static_cast<std::size_t>(node)] += bytes;
-  const SimTime sent = vm_tx_.transfer(now, bytes, tag);
+  const SimTime sent = vm_tx_.acquire(now, vm_ns(bytes), tag);
   const SimTime arrived = sent + hop_model_.sample(rng_, 0);
-  return node_rx_[static_cast<std::size_t>(node)].transfer(arrived, bytes, tag);
+  return node_rx_[static_cast<std::size_t>(node)].acquire(
+      arrived, node_ns(bytes), tag);
 }
 
 SimTime Fabric::to_vm(SimTime now, int node, std::uint64_t bytes,
@@ -65,10 +46,10 @@ SimTime Fabric::to_vm(SimTime now, int node, std::uint64_t bytes,
   UC_ASSERT(node >= 0 && node < nodes(), "node out of range");
   vm_rx_bytes_ += bytes;
   node_tx_bytes_[static_cast<std::size_t>(node)] += bytes;
-  const SimTime sent =
-      node_tx_[static_cast<std::size_t>(node)].transfer(now, bytes, tag);
+  const SimTime sent = node_tx_[static_cast<std::size_t>(node)].acquire(
+      now, node_ns(bytes), tag);
   const SimTime arrived = sent + hop_model_.sample(rng_, 0);
-  return vm_rx_.transfer(arrived, bytes, tag);
+  return vm_rx_.acquire(arrived, vm_ns(bytes), tag);
 }
 
 void Fabric::to_node(SimTime arrival, int node, std::uint64_t bytes,
@@ -76,12 +57,12 @@ void Fabric::to_node(SimTime arrival, int node, std::uint64_t bytes,
   UC_ASSERT(node >= 0 && node < nodes(), "node out of range");
   vm_tx_bytes_ += bytes;
   node_rx_bytes_[static_cast<std::size_t>(node)] += bytes;
-  vm_tx_.submit(arrival, tag, bytes,
+  vm_tx_.submit(arrival, tag, vm_ns(bytes),
                 [this, node, bytes, tag,
                  done = std::move(done)](SimTime sent) mutable {
                   const SimTime arrived = sent + hop_model_.sample(rng_, 0);
                   node_rx_[static_cast<std::size_t>(node)].submit(
-                      arrived, tag, bytes, std::move(done));
+                      arrived, tag, node_ns(bytes), std::move(done));
                 });
 }
 
@@ -91,10 +72,10 @@ void Fabric::to_vm(SimTime arrival, int node, std::uint64_t bytes,
   vm_rx_bytes_ += bytes;
   node_tx_bytes_[static_cast<std::size_t>(node)] += bytes;
   node_tx_[static_cast<std::size_t>(node)].submit(
-      arrival, tag, bytes,
+      arrival, tag, node_ns(bytes),
       [this, bytes, tag, done = std::move(done)](SimTime sent) mutable {
         const SimTime arrived = sent + hop_model_.sample(rng_, 0);
-        vm_rx_.submit(arrived, tag, bytes, std::move(done));
+        vm_rx_.submit(arrived, tag, vm_ns(bytes), std::move(done));
       });
 }
 
@@ -130,10 +111,9 @@ SimTime Fabric::total_busy_ns() const {
 }
 
 SimTime Fabric::class_busy_ns(sched::IoClass c) const {
-  SimTime total =
-      vm_tx_.sched().class_busy_time(c) + vm_rx_.sched().class_busy_time(c);
-  for (const auto& p : node_tx_) total += p.sched().class_busy_time(c);
-  for (const auto& p : node_rx_) total += p.sched().class_busy_time(c);
+  SimTime total = vm_tx_.class_busy_time(c) + vm_rx_.class_busy_time(c);
+  for (const auto& p : node_tx_) total += p.class_busy_time(c);
+  for (const auto& p : node_rx_) total += p.class_busy_time(c);
   return total;
 }
 

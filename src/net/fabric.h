@@ -3,7 +3,8 @@
 /// \file fabric.h
 /// Datacenter network between the compute cluster (user VM + block server)
 /// and the storage nodes (paper Figure 1): full-duplex NICs modeled as
-/// bandwidth pipes and per-hop latency with lognormal jitter plus a rare
+/// bandwidth pipes (a `sched::QueuedResource` per direction, held at a
+/// fixed ns-per-byte) and per-hop latency with lognormal jitter plus a rare
 /// spike tail — the "network latency and software processing overhead
 /// within the cloud storage" the paper identifies as the primary cause of
 /// the ESSD latency floor (Observation 1).
@@ -18,10 +19,11 @@
 
 #include "common/rng.h"
 #include "common/types.h"
+#include "common/units.h"
+#include "sched/queued_resource.h"
 #include "sched/sched.h"
 #include "sched/scheduler.h"
 #include "sim/latency_model.h"
-#include "sim/resources.h"
 #include "sim/simulator.h"
 
 namespace uc::net {
@@ -55,18 +57,14 @@ class Fabric {
   /// path needs no dispatch events).
   Fabric(const FabricConfig& cfg, Rng rng, sim::Simulator* sim = nullptr);
 
-  /// VM/block-server -> storage node `node` (untagged FIFO convenience).
-  SimTime to_node(SimTime now, int node, std::uint64_t bytes);
-
-  /// Storage node `node` -> VM/block server (untagged FIFO convenience).
-  SimTime to_vm(SimTime now, int node, std::uint64_t bytes);
-
-  /// Tagged synchronous variants — the allocation-free FIFO fast path
-  /// (identical arithmetic and accounting; invalid under WFQ/PRIO).
+  /// VM/block-server -> storage node `node`, synchronously: the
+  /// allocation-free FIFO fast path (invalid under WFQ/PRIO); returns the
+  /// delivery time.
   SimTime to_node(SimTime now, int node, std::uint64_t bytes,
-                  const sched::SchedTag& tag);
+                  const sched::SchedTag& tag = {});
+  /// Storage node `node` -> VM/block server, synchronously.
   SimTime to_vm(SimTime now, int node, std::uint64_t bytes,
-                const sched::SchedTag& tag);
+                const sched::SchedTag& tag = {});
 
   /// Tagged, policy-scheduled variants; `done` fires with the delivery time.
   void to_node(SimTime arrival, int node, std::uint64_t bytes,
@@ -108,17 +106,27 @@ class Fabric {
   /// Total occupancy across every NIC pipe (VM-side + all nodes, both
   /// directions) — one addend of `ebs::StorageCluster::busy_stats()`.
   SimTime total_busy_ns() const;
-  /// The same total sliced by traffic class (untagged legacy transfers
-  /// carry no class, so the slices sum to at most `total_busy_ns()`).
+  /// The same total sliced by traffic class.  Every transfer is charged to
+  /// its tag's class (an untagged one to `SchedTag{}`'s `kFgWrite`), so the
+  /// slices sum exactly to `total_busy_ns()`.
   SimTime class_busy_ns(sched::IoClass c) const;
 
  private:
+  SimTime vm_ns(std::uint64_t bytes) const {
+    return units::transfer_ns(bytes, vm_ns_per_byte_);
+  }
+  SimTime node_ns(std::uint64_t bytes) const {
+    return units::transfer_ns(bytes, node_ns_per_byte_);
+  }
+
   sim::LatencyModel hop_model_;
   Rng rng_;
-  sim::BandwidthPipe vm_tx_;
-  sim::BandwidthPipe vm_rx_;
-  std::vector<sim::BandwidthPipe> node_tx_;
-  std::vector<sim::BandwidthPipe> node_rx_;
+  double vm_ns_per_byte_;
+  double node_ns_per_byte_;
+  sched::QueuedResource vm_tx_;
+  sched::QueuedResource vm_rx_;
+  std::vector<sched::QueuedResource> node_tx_;
+  std::vector<sched::QueuedResource> node_rx_;
   std::uint64_t vm_tx_bytes_ = 0;
   std::uint64_t vm_rx_bytes_ = 0;
   std::vector<std::uint64_t> node_tx_bytes_;

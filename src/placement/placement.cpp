@@ -363,10 +363,11 @@ void ShardedHost::begin_measure(Shard& sh, SimTime t0) {
   for (auto& source : sh.sources) source->start();
 }
 
-PlacementResult ShardedHost::collect(SimTime measure_start) const {
+PlacementResult ShardedHost::collect(SimTime measure_start) {
   // Built in spec order with push_back, never resize-then-assign: a
   // default JobStats allocates four full histograms, so resizing first
-  // would allocate every tenant's stats twice.
+  // would allocate every tenant's stats twice.  The stats are moved out of
+  // the sources, so the fleet's histograms exist once.
   const std::size_t n = tenants_.size();
   PlacementResult result;
   result.measure_start = measure_start;
@@ -374,13 +375,13 @@ PlacementResult ShardedHost::collect(SimTime measure_start) const {
   result.backlog_peak.reserve(n);
   result.traces.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const wl::LoadSource& source =
+    wl::LoadSource& source =
         *shards_[shard_of_tenant_[i]].sources[local_of_tenant_[i]];
     UC_ASSERT(source.finished(), "simulator drained but a tenant load hung");
-    result.stats.push_back(source.stats());
+    result.makespan = std::max(result.makespan, source.stats().last_complete);
     result.backlog_peak.push_back(source.backlog_peak());
     result.traces.push_back(wl::load_source_trace_summary(source));
-    result.makespan = std::max(result.makespan, source.stats().last_complete);
+    result.stats.push_back(source.take_stats());
   }
   result.initial_cluster = planned_;
   result.final_cluster = cluster_of_;

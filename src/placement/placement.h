@@ -237,8 +237,9 @@ class ShardedHost {
   /// Opens `sh`'s measured window at `t0`: advances its idle clock,
   /// snapshots the before-stats, and starts every load.
   void begin_measure(Shard& sh, SimTime t0);
-  /// Builds the merged result in spec order from the drained shards.
-  PlacementResult collect(SimTime measure_start) const;
+  /// Builds the merged result in spec order from the drained shards,
+  /// moving each tenant's stats out of its load source (once, from `run`).
+  PlacementResult collect(SimTime measure_start);
 
   /// Advances every member simulator of one group to `bound` (`kNoTime` =
   /// drain), stepping the members in event-timestamp lockstep so cross-

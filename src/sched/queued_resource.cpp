@@ -56,12 +56,6 @@ SimTime QueuedResource::reserve(SimTime arrival, SimTime duration,
   return end;
 }
 
-SimTime QueuedResource::acquire(SimTime now, SimTime duration) {
-  UC_ASSERT(cfg_.policy == Policy::kFifo,
-            "untagged acquire() on a policy-scheduled resource");
-  return reserve(now, duration, SchedTag{});
-}
-
 SimTime QueuedResource::acquire(SimTime now, SimTime duration,
                                 const SchedTag& tag) {
   UC_ASSERT(cfg_.policy == Policy::kFifo,

@@ -99,21 +99,19 @@ class QueuedResource {
 
   Policy policy() const { return cfg_.policy; }
 
-  /// Legacy synchronous horizon reservation (untagged).  Only valid under
-  /// FIFO — on a policy-scheduled resource it would jump the queue.
-  SimTime acquire(SimTime now, SimTime duration);
-
-  /// Tagged synchronous reservation: the allocation-free FIFO fast path
-  /// (hot paths branch on `policy()` and use this instead of `submit()`).
-  /// Identical accounting to the tagged queued path.
-  SimTime acquire(SimTime now, SimTime duration, const SchedTag& tag);
+  /// Synchronous reservation: the allocation-free FIFO fast path (hot paths
+  /// branch on `policy()` and use this instead of `submit()`); returns the
+  /// completion time.  Identical accounting to the queued path; the default
+  /// tag charges tenant 0 / `kFgWrite`.  Only valid under FIFO — on a
+  /// policy-scheduled resource it would jump the queue.
+  SimTime acquire(SimTime now, SimTime duration, const SchedTag& tag = {});
 
   /// Tagged reservation becoming eligible at `arrival`; `grant(finish)`
   /// fires when the reservation is placed (synchronously under FIFO).
   void submit(SimTime arrival, const SchedTag& tag, SimTime duration,
               Grant grant);
 
-  /// Horizon of the most recently placed reservation.
+  /// Latest completion horizon placed on any server so far.
   SimTime busy_until() const { return busy_until_; }
   /// Total busy time across all servers (utilization accounting).
   SimTime busy_time() const { return busy_time_; }

@@ -9,7 +9,7 @@ namespace uc::ssd {
 
 Status SsdConfig::validate() const {
   if (Status s = ftl.validate(); !s.is_ok()) return s;
-  if (host_link_mbps <= 0.0) {
+  if (!(host_link_mbps > 0.0)) {  // NaN fails too
     return Status::invalid_argument("host link bandwidth must be positive");
   }
   return Status::ok();

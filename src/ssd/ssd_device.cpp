@@ -4,6 +4,8 @@
 #include <memory>
 #include <utility>
 
+#include "common/units.h"
+
 namespace uc::ssd {
 
 SsdDevice::SsdDevice(sim::Simulator& sim, const SsdConfig& cfg)
@@ -12,8 +14,7 @@ SsdDevice::SsdDevice(sim::Simulator& sim, const SsdConfig& cfg)
       rng_(cfg.seed),
       firmware_read_(cfg.firmware_read),
       firmware_write_(cfg.firmware_write),
-      host_to_device_(cfg.host_link_mbps),
-      device_to_host_(cfg.host_link_mbps) {
+      host_ns_per_byte_(units::ns_per_byte_from_mbps(cfg.host_link_mbps)) {
   UC_ASSERT(cfg_.validate().is_ok(), "invalid SSD configuration");
   info_.name = cfg_.name;
   info_.capacity_bytes = cfg_.ftl.user_capacity_bytes;
@@ -50,8 +51,8 @@ void SsdDevice::submit(const IoRequest& req, CompletionFn done) {
             ftl_->read(lpn, pages, [this, req, submit_time,
                                     done = std::move(done)]() mutable {
               // Data moves device -> host once the FTL has it in hand.
-              const SimTime tx =
-                  device_to_host_.transfer(sim_.now(), req.bytes);
+              const SimTime tx = device_to_host_.acquire(
+                  sim_.now(), units::transfer_ns(req.bytes, host_ns_per_byte_));
               sim_.schedule_at(
                   tx, sim::boxed([this, req, submit_time,
                                   done = std::move(done)]() mutable {
@@ -68,7 +69,8 @@ void SsdDevice::submit(const IoRequest& req, CompletionFn done) {
       // Command processed, then payload crosses the host link, then the FTL
       // acknowledges once all slots are buffered (or backpressure clears).
       const SimTime fw_done = sim_.now() + fw;
-      const SimTime tx = host_to_device_.transfer(fw_done, req.bytes);
+      const SimTime tx = host_to_device_.acquire(
+          fw_done, units::transfer_ns(req.bytes, host_ns_per_byte_));
       sim_.schedule_at(
           tx, sim::boxed([this, req, lpn, pages, submit_time,
                           done = std::move(done)]() mutable {

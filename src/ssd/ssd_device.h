@@ -11,8 +11,8 @@
 #include "common/block_device.h"
 #include "common/rng.h"
 #include "ftl/ftl.h"
+#include "sched/queued_resource.h"
 #include "sim/latency_model.h"
-#include "sim/resources.h"
 #include "sim/simulator.h"
 #include "ssd/ssd_config.h"
 
@@ -47,8 +47,9 @@ class SsdDevice : public BlockDevice {
   Rng rng_;
   sim::LatencyModel firmware_read_;
   sim::LatencyModel firmware_write_;
-  sim::BandwidthPipe host_to_device_;
-  sim::BandwidthPipe device_to_host_;
+  double host_ns_per_byte_;
+  sched::QueuedResource host_to_device_;
+  sched::QueuedResource device_to_host_;
   std::unique_ptr<ftl::Ftl> ftl_;
   SsdIoStats io_stats_;
 };

@@ -1,5 +1,6 @@
 #include "tenant/tenant.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -103,12 +104,10 @@ HostResult SharedClusterHost::run() {
   result.stats.reserve(sources_.size());
   for (auto& source : sources_) {
     UC_ASSERT(source->finished(), "simulator drained but a tenant load hung");
-    result.stats.push_back(source->stats());
+    result.makespan = std::max(result.makespan, source->stats().last_complete);
     result.backlog_peak.push_back(source->backlog_peak());
     result.traces.push_back(wl::load_source_trace_summary(*source));
-    if (source->stats().last_complete > result.makespan) {
-      result.makespan = source->stats().last_complete;
-    }
+    result.stats.push_back(source->take_stats());
   }
   result.cluster = subtract(cluster_->stats(), cluster_before);
   result.cleaner = subtract(cluster_->cleaner().stats(), cleaner_before);

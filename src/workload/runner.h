@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 
 #include "common/block_device.h"
 #include "common/histogram.h"
@@ -71,6 +72,9 @@ class LoadSource {
   virtual void start() = 0;
   virtual bool finished() const = 0;
   virtual const JobStats& stats() const = 0;
+  /// Moves the stats out, leaving `stats()` moved-from: collects a finished
+  /// load once without copying its histograms.
+  virtual JobStats take_stats() = 0;
 
   /// Open loop = submissions follow trace arrival times regardless of
   /// completions; closed loop = a fixed queue depth paces submissions.
@@ -92,6 +96,7 @@ class JobRunner : public LoadSource {
     return stopped_issuing_ && outstanding_ == 0;
   }
   const JobStats& stats() const override { return stats_; }
+  JobStats take_stats() override { return std::move(stats_); }
   const JobSpec& spec() const { return spec_; }
   bool open_loop() const override { return false; }
   std::uint64_t backlog_peak() const override { return backlog_peak_; }

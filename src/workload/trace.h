@@ -144,6 +144,7 @@ class TraceReplayer : public LoadSource {
   }
 
   const JobStats& stats() const override { return stats_; }
+  JobStats take_stats() override { return std::move(stats_); }
   bool open_loop() const override { return true; }
   std::uint64_t backlog_peak() const override { return max_inflight_; }
   std::uint64_t max_inflight() const { return max_inflight_; }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/units.h"
 #include "essd/essd_device.h"
@@ -21,6 +22,28 @@ TEST(EssdDevice, InfoReflectsProfile) {
   EXPECT_EQ(dev.info().capacity_bytes, 2 * kGiB);
   EXPECT_DOUBLE_EQ(dev.info().guaranteed_bw_gbs, 3.0);
   EXPECT_DOUBLE_EQ(dev.info().guaranteed_iops, 25600.0);
+}
+
+TEST(EssdConfig, ValidateRejectsNonPositiveRates) {
+  const EssdConfig good = aws_io2_profile(2 * kGiB);
+  ASSERT_TRUE(good.validate().is_ok());
+  // Each rate alone; a non-positive rate would otherwise reach the model as
+  // an abort (NIC) or an infinite-bandwidth 0 ns/byte pipeline (node).
+  EssdConfig cfg = good;
+  cfg.cluster.fabric.vm_nic_mbps = 0.0;
+  EXPECT_FALSE(cfg.validate().is_ok());
+  cfg = good;
+  cfg.cluster.fabric.node_nic_mbps = -1.0;
+  EXPECT_FALSE(cfg.validate().is_ok());
+  cfg = good;
+  cfg.cluster.node_append_mbps = 0.0;
+  EXPECT_FALSE(cfg.validate().is_ok());
+  cfg = good;
+  cfg.cluster.node_read_mbps = -2000.0;
+  EXPECT_FALSE(cfg.validate().is_ok());
+  cfg = good;
+  cfg.cluster.node_read_mbps = std::nan("");
+  EXPECT_FALSE(cfg.validate().is_ok());
 }
 
 TEST(EssdDevice, WriteReadRoundTrip) {

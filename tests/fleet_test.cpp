@@ -159,14 +159,15 @@ TEST(RunFleet, ThreadCountInvariant) {
   EXPECT_GT(one.jain_clusters, 0.0);
   EXPECT_LE(one.jain_clusters, 1.0);
 
-  // Busy accounting: one block per cluster, class slices within the total.
+  // Busy accounting: one block per cluster, class slices summing to the
+  // total (every reservation is charged to its tag's class).
   ASSERT_EQ(one.raw.busy.size(), 4u);
   SimTime busy_total = 0;
   for (const auto& b : one.raw.busy) {
     busy_total += b.busy_ns;
     SimTime classes = 0;
     for (const auto ns : b.class_busy_ns) classes += ns;
-    EXPECT_LE(classes, b.busy_ns);
+    EXPECT_EQ(classes, b.busy_ns);
   }
   EXPECT_GT(busy_total, 0);
 }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <unordered_map>
 
@@ -188,6 +189,17 @@ TEST(Ftl, ConfigValidationRejectsOversizedCapacity) {
   EXPECT_FALSE(cfg.validate().is_ok());
   cfg = small_config();
   cfg.write_buffer_slots = 2;  // below one allocation row
+  EXPECT_FALSE(cfg.validate().is_ok());
+}
+
+TEST(Ftl, ConfigValidationRejectsNonPositiveChannelRate) {
+  auto cfg = small_config();
+  ASSERT_TRUE(cfg.validate().is_ok());
+  cfg.timing.channel_mbps = 0.0;  // would be an infinite-bandwidth bus
+  EXPECT_FALSE(cfg.validate().is_ok());
+  cfg.timing.channel_mbps = -600.0;
+  EXPECT_FALSE(cfg.validate().is_ok());
+  cfg.timing.channel_mbps = std::nan("");
   EXPECT_FALSE(cfg.validate().is_ok());
 }
 

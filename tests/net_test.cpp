@@ -95,14 +95,19 @@ TEST(Fabric, PerNodeByteCountersAndUtilization) {
   EXPECT_EQ(d.node_rx_bytes[2], 0u);
 }
 
-TEST(Fabric, TaggedFifoPathMatchesUntagged) {
+TEST(Fabric, SyncTaggedPathMatchesFifoSubmitGrant) {
   Fabric a(deterministic_config(), Rng(1));
   Fabric b(deterministic_config(), Rng(1));
-  const SimTime plain = a.to_node(0, 2, 4096);
-  SimTime tagged = 0;
-  b.to_node(0, 2, 4096, sched::SchedTag{0, sched::IoClass::kFgWrite, 4096},
-            [&](SimTime t) { tagged = t; });
-  EXPECT_EQ(tagged, plain);  // synchronous grant, identical arithmetic
+  const sched::SchedTag tag{3, sched::IoClass::kFgRead, 4096};
+  const SimTime sync = a.to_node(0, 2, 4096, tag);
+  SimTime granted = 0;
+  b.to_node(0, 2, 4096, tag, [&](SimTime t) { granted = t; });
+  EXPECT_EQ(granted, sync);  // FIFO grants synchronously, same arithmetic
+  EXPECT_EQ(a.to_vm(0, 2, 8192, tag), 8192u + 20000u + 8192u);
+  b.to_vm(0, 2, 8192, tag, [&](SimTime t) { granted = t; });
+  EXPECT_EQ(granted, 8192u + 20000u + 8192u);
+  EXPECT_EQ(a.class_busy_ns(sched::IoClass::kFgRead), a.total_busy_ns());
+  EXPECT_EQ(b.class_busy_ns(sched::IoClass::kFgRead), b.total_busy_ns());
 }
 
 TEST(Fabric, RejectsBadNodeIndex) {

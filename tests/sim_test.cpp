@@ -1,6 +1,6 @@
 // Tests for the discrete-event kernel: ordering, FIFO tie-breaking,
-// cancellation, bounded runs — and the contention resources and stochastic
-// latency model built on top of it.
+// cancellation, bounded runs — and the horizon reservations
+// (`sched::QueuedResource`) and stochastic latency model built on top of it.
 
 #include <gtest/gtest.h>
 
@@ -17,10 +17,10 @@
 
 #include "common/rng.h"
 #include "common/units.h"
+#include "sched/queued_resource.h"
 #include "sim/inline_callback.h"
 #include "sim/latency_model.h"
 #include "sim/parallel.h"
-#include "sim/resources.h"
 #include "sim/simulator.h"
 
 namespace uc::sim {
@@ -184,27 +184,34 @@ TEST(Simulator, RunWhileStopsOnPredicate) {
   EXPECT_EQ(fired, 3);
 }
 
-TEST(SerialResource, SerializesBackToBack) {
-  SerialResource r;
+TEST(QueuedResource, SerializesBackToBack) {
+  sched::QueuedResource r;
   EXPECT_EQ(r.acquire(0, 100), 100u);
-  EXPECT_EQ(r.acquire(0, 100), 200u);   // queued behind the first
-  EXPECT_EQ(r.acquire(500, 100), 600u); // idle gap, starts immediately
-  EXPECT_EQ(r.busy_time(), 300u);
+  EXPECT_EQ(r.acquire(0, 50), 150u);    // queued behind the first
+  EXPECT_EQ(r.acquire(500, 10), 510u);  // idle gap, starts immediately
+  EXPECT_EQ(r.busy_time(), 160u);
+  EXPECT_EQ(r.busy_until(), 510u);
+  // The default tag charges tenant 0's foreground-write slice.
+  EXPECT_EQ(r.class_busy_time(sched::IoClass::kFgWrite), 160u);
+  EXPECT_EQ(r.tenant_busy_time(0), 160u);
 }
 
-TEST(BandwidthPipe, TransferTimeMatchesRate) {
-  BandwidthPipe pipe(1000.0);  // 1000 MB/s -> 1 ns/byte
-  EXPECT_EQ(pipe.transfer_time(4096), 4096u);
-  EXPECT_EQ(pipe.transfer(0, 4096), 4096u);
+TEST(QueuedResource, BandwidthTransferMatchesRate) {
+  const double ns_per_byte = ns_per_byte_from_mbps(1000.0);  // 1 ns/byte
+  EXPECT_EQ(transfer_ns(4096, ns_per_byte), 4096u);
+  EXPECT_EQ(transfer_ns(4, ns_per_byte_from_mbps(3000.0)), 1u);  // truncates
+  sched::QueuedResource pipe;
+  EXPECT_EQ(pipe.acquire(0, transfer_ns(4096, ns_per_byte)), 4096u);
   // Second transfer queues.
-  EXPECT_EQ(pipe.transfer(0, 4096), 8192u);
+  EXPECT_EQ(pipe.acquire(0, transfer_ns(4096, ns_per_byte)), 8192u);
 }
 
-TEST(MultiServer, ParallelThenQueues) {
-  MultiServer servers(2);
+TEST(QueuedResource, ServersRunInParallelThenQueue) {
+  sched::QueuedResource servers(2);
   EXPECT_EQ(servers.acquire(0, 100), 100u);
   EXPECT_EQ(servers.acquire(0, 100), 100u);  // second server
   EXPECT_EQ(servers.acquire(0, 100), 200u);  // queues on earliest free
+  EXPECT_EQ(servers.busy_time(), 300u);
 }
 
 TEST(LatencyModel, DeterministicWithoutJitter) {

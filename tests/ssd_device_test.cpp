@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 
 #include "common/units.h"
@@ -15,6 +16,15 @@ namespace uc::ssd {
 namespace {
 
 using namespace units;
+
+TEST(SsdConfig, ValidateRejectsNonPositiveOrNanHostLink) {
+  SsdConfig cfg = samsung_970pro_scaled(1 * kGiB);
+  ASSERT_TRUE(cfg.validate().is_ok());
+  cfg.host_link_mbps = 0.0;
+  EXPECT_FALSE(cfg.validate().is_ok());
+  cfg.host_link_mbps = std::nan("");
+  EXPECT_FALSE(cfg.validate().is_ok());
+}
 
 wl::JobStats run_job(SsdDevice& dev, sim::Simulator& sim, wl::AccessPattern pat,
                      bool write, std::uint32_t io, int qd, std::uint64_t ops) {
