@@ -28,18 +28,23 @@ void Cleaner::notify() {
   run_cycle();
 }
 
+// Max garbage ratio, lowest chunk then lowest seq on ties, is exactly the
+// minimum (live, chunk, seq): every sealed segment is full (ChunkLog seals
+// only a full segment) and every log of the cluster has one segment size
+// (StorageCluster::check_invariants asserts it).  Each log caches its own
+// min (live, seq); the strict `<` keeps the lowest chunk on ties.
 Cleaner::GlobalVictim Cleaner::pick_global_victim() const {
-  GlobalVictim best;
+  std::uint32_t best_live = ChunkLog::kNoVictim;
+  std::uint32_t best_chunk = 0;
   for (std::uint32_t c = 0; c < logs_.size(); ++c) {
-    const auto v = logs_[c]->pick_victim();
-    if (!v.has_value()) continue;
-    if (!best.found || v->garbage_ratio() > best.victim.garbage_ratio()) {
-      best.chunk = c;
-      best.victim = *v;
-      best.found = true;
+    const std::uint32_t live = logs_[c]->victim_live_pages();
+    if (live < best_live) {
+      best_live = live;
+      best_chunk = c;
     }
   }
-  return best;
+  if (best_live == ChunkLog::kNoVictim) return {};
+  return {best_chunk, *logs_[best_chunk]->pick_victim(), true};
 }
 
 void Cleaner::run_cycle() {

@@ -57,7 +57,8 @@ class Cleaner {
  public:
   /// `logs` is the cluster's registry of chunk logs across *all* attached
   /// volumes (global chunk id -> log); the cluster appends to it as volumes
-  /// attach, and the cleaner always scans the current registry.  `owners`
+  /// attach, and each cycle compares the current registry's cached
+  /// per-log victims (`ChunkLog::victim_live_pages`).  `owners`
   /// is the parallel registry of owning volumes (per-tenant GC accounting).
   /// One cleaner therefore serves every tenant from the same background
   /// bandwidth, which is routed through a sched-tagged `QueuedResource` so
@@ -80,14 +81,17 @@ class Cleaner {
   /// The background-bandwidth pipe (per-tenant busy-time attribution).
   const sched::QueuedResource& pipe() const { return pipe_; }
 
- private:
   struct GlobalVictim {
     std::uint32_t chunk = 0;  ///< global chunk id (index into the registry)
     ChunkLog::Victim victim;
     bool found = false;
   };
 
+  /// The segment the next cycle would clean: the highest garbage ratio
+  /// across the registry, lowest chunk then lowest seq on ties.
   GlobalVictim pick_global_victim() const;
+
+ private:
   void run_cycle();
 
   sim::Simulator& sim_;

@@ -11,10 +11,43 @@
 
 namespace uc::ebs {
 
+Status ClusterConfig::validate() const {
+  if (replication < 1 || replication > fabric.nodes) {
+    return Status::invalid_argument("replication must fit the node count");
+  }
+  // Written as !(x > 0) so a NaN rate is rejected too.
+  if (!(fabric.vm_nic_mbps > 0.0) || !(fabric.node_nic_mbps > 0.0)) {
+    return Status::invalid_argument("NIC bandwidths must be positive");
+  }
+  if (!(node_append_mbps > 0.0) || !(node_read_mbps > 0.0)) {
+    return Status::invalid_argument("node bandwidths must be positive");
+  }
+  if (!(cleaner.processing_mbps > 0.0)) {
+    return Status::invalid_argument("cleaner bandwidth must be positive");
+  }
+  if (segment_bytes == 0 || segment_bytes % kLogicalPageBytes != 0) {
+    return Status::invalid_argument("segment size must be 4 KiB aligned");
+  }
+  if (chunk_bytes == 0 || chunk_bytes % segment_bytes != 0) {
+    return Status::invalid_argument(
+        "chunk size must be a positive multiple of the segment size");
+  }
+  if (model_node_index) {
+    if (const Status s = node_mapping.validate(); !s.is_ok()) return s;
+    if (node_index_window_pages == 0) {
+      return Status::invalid_argument("node index window must be positive");
+    }
+  }
+  return Status::ok();
+}
+
+// Both public constructors size the pool here, before any member
+// initializer divides by a config size, so the config is validated here.
 // A shared cluster starts with the provider's spare capacity plus the
 // cleaner reserve; every attach_volume() grows the pool by the volume's
 // live + open-segment share.
 std::uint64_t StorageCluster::shared_pool_groups(const ClusterConfig& cfg) {
+  UC_ASSERT(cfg.validate().is_ok(), "invalid cluster configuration");
   return cfg.spare_pool_bytes / cfg.segment_bytes + cfg.cleaner_reserve_groups;
 }
 
@@ -22,6 +55,7 @@ std::uint64_t StorageCluster::shared_pool_groups(const ClusterConfig& cfg) {
 // live data + spare + one open segment per chunk, plus the cleaner reserve.
 std::uint64_t StorageCluster::legacy_pool_groups(const ClusterConfig& cfg,
                                                  std::uint64_t volume_bytes) {
+  UC_ASSERT(cfg.validate().is_ok(), "invalid cluster configuration");
   const std::uint64_t chunks =
       (volume_bytes + cfg.chunk_bytes - 1) / cfg.chunk_bytes;
   return (volume_bytes + cfg.spare_pool_bytes) / cfg.segment_bytes + chunks +
@@ -55,11 +89,6 @@ StorageCluster::StorageCluster(sim::Simulator& sim, const ClusterConfig& cfg,
       replica_read_(cfg.replica_read),
       append_ns_per_byte_(units::ns_per_byte_from_mbps(cfg.node_append_mbps)),
       read_ns_per_byte_(units::ns_per_byte_from_mbps(cfg.node_read_mbps)) {
-  UC_ASSERT(cfg.segment_bytes > 0 &&
-                cfg.segment_bytes % kLogicalPageBytes == 0,
-            "segment size must be 4 KiB aligned");
-  UC_ASSERT(cfg.chunk_bytes % cfg.segment_bytes == 0,
-            "chunk size must be a multiple of the segment size");
   pages_per_segment_ =
       static_cast<std::uint32_t>(cfg.segment_bytes / kLogicalPageBytes);
   for (int n = 0; n < cfg.fabric.nodes; ++n) {
@@ -72,10 +101,6 @@ StorageCluster::StorageCluster(sim::Simulator& sim, const ClusterConfig& cfg,
     node_read_[static_cast<std::size_t>(n)].configure(sim_, cfg.sched);
   }
   if (cfg.model_node_index) {
-    UC_ASSERT(cfg.node_mapping.validate().is_ok(),
-              "invalid node_mapping config");
-    UC_ASSERT(cfg.node_index_window_pages > 0,
-              "node index window must be positive");
     node_index_cursor_.assign(static_cast<std::size_t>(cfg.fabric.nodes), 0);
     for (int n = 0; n < cfg.fabric.nodes; ++n) {
       node_index_.push_back(ftl::make_mapping_policy(
@@ -702,6 +727,9 @@ bool StorageCluster::check_invariants() const {
   std::uint64_t allocated_groups = 0;
   for (const ChunkLog* log : all_logs_) {
     log->check_invariants();
+    // The cleaner compares victims across logs by live count alone.
+    UC_ASSERT(log->pages_per_segment() == pages_per_segment_,
+              "chunk logs of one cluster must share the segment size");
     allocated_groups += log->allocated_segments();
   }
   UC_ASSERT(allocated_groups == pool_.total_groups() - pool_.free_groups(),

@@ -28,6 +28,7 @@
 
 #include "common/lru_cache.h"
 #include "common/rng.h"
+#include "common/status.h"
 #include "common/types.h"
 #include "ebs/chunk_map.h"
 #include "ebs/cleaner.h"
@@ -103,6 +104,12 @@ struct ClusterConfig {
   std::uint64_t node_index_window_pages = 1ull << 20;  ///< 4 GiB per node
 
   std::uint64_t seed = 99;
+
+  /// Rejects a cluster the model cannot simulate faithfully: replication
+  /// beyond the node count, a non-positive (or NaN) NIC, node-pipeline or
+  /// cleaner rate, segment/chunk sizes that are not page- and
+  /// segment-aligned, or an invalid node-index model.
+  Status validate() const;
 };
 
 struct ClusterStats {

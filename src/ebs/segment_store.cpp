@@ -49,6 +49,9 @@ bool ChunkLog::ensure_open_segment(SegmentPool& pool, bool privileged) {
     return true;
   }
   if (!pool.try_allocate(privileged)) return false;
+  // The full open segment is sealed only once its successor exists, so
+  // every sealed segment has appended == pages_per_segment_.
+  if (open_seq_ >= 0) offer_victim(static_cast<std::uint32_t>(open_seq_));
   open_seq_ = static_cast<std::int64_t>(segments_.size());
   segments_.push_back(Segment{});
   ++allocated_segments_;
@@ -63,6 +66,26 @@ void ChunkLog::account_overwrite(std::uint32_t page) {
             "overwrite accounting against a freed segment");
   --old_seg.live;
   --live_pages_;
+  if (static_cast<std::int64_t>(old_seq) != open_seq_) offer_victim(old_seq);
+}
+
+void ChunkLog::offer_victim(std::uint32_t seq) {
+  const std::uint32_t live = segments_[seq].live;
+  // `seq == victim_seq_` is the victim itself losing a live page.
+  if (live < victim_live_ || (live == victim_live_ && seq <= victim_seq_)) {
+    victim_seq_ = seq;
+    victim_live_ = live;
+  }
+}
+
+void ChunkLog::rescan_victim() {
+  victim_live_ = kNoVictim;
+  for (std::size_t seq = 0; seq < segments_.size(); ++seq) {
+    if (segments_[seq].freed || static_cast<std::int64_t>(seq) == open_seq_) {
+      continue;
+    }
+    offer_victim(static_cast<std::uint32_t>(seq));
+  }
 }
 
 bool ChunkLog::append_page(std::uint32_t page, WriteStamp stamp,
@@ -87,20 +110,6 @@ void ChunkLog::trim_page(std::uint32_t page) {
   page_seg_[page] = kUnwritten;
 }
 
-std::optional<ChunkLog::Victim> ChunkLog::pick_victim() const {
-  std::optional<Victim> best;
-  for (std::size_t seq = 0; seq < segments_.size(); ++seq) {
-    const Segment& seg = segments_[seq];
-    if (seg.freed || static_cast<std::int64_t>(seq) == open_seq_) continue;
-    if (seg.appended < pages_per_segment_) continue;  // still filling (stale)
-    Victim v{static_cast<std::uint32_t>(seq), seg.live, seg.appended};
-    if (!best.has_value() || v.garbage_ratio() > best->garbage_ratio()) {
-      best = v;
-    }
-  }
-  return best;
-}
-
 bool ChunkLog::clean_segment(std::uint32_t seq, SegmentPool& pool,
                              std::uint32_t* live_moved) {
   // Note: ensure_open_segment may grow `segments_`, so the victim must be
@@ -109,13 +118,20 @@ bool ChunkLog::clean_segment(std::uint32_t seq, SegmentPool& pool,
   UC_ASSERT(static_cast<std::int64_t>(seq) != open_seq_,
             "cleaning the open segment");
 
+  // `seq` is sealed, so a victim exists.  Relocation may seal the open
+  // segment and offer it against the victim; if the victim is `seq`, the
+  // rescan below replaces whatever those offers left.
+  const bool freeing_victim = seq == victim_seq_;
   std::uint32_t moved = 0;
   if (segments_[seq].live > 0) {
     // Relocate live pages into the open log, preserving their stamps.
     for (std::uint32_t page = 0;
          page < page_seg_.size() && segments_[seq].live > 0; ++page) {
       if (page_seg_[page] != seq) continue;
-      if (!ensure_open_segment(pool, /*privileged=*/true)) return false;
+      if (!ensure_open_segment(pool, /*privileged=*/true)) {
+        offer_victim(seq);  // the partial relocation lowered its live count
+        return false;
+      }
       // Move without changing global live: the page stays live.
       --segments_[seq].live;
       Segment& open = segments_[static_cast<std::size_t>(open_seq_)];
@@ -131,6 +147,7 @@ bool ChunkLog::clean_segment(std::uint32_t seq, SegmentPool& pool,
   appended_alive_pages_ -= segments_[seq].appended;
   segments_[seq].freed = true;
   --allocated_segments_;
+  if (freeing_victim) rescan_victim();
   pool.release(1);
   if (live_moved != nullptr) *live_moved = moved;
   return true;
@@ -148,6 +165,9 @@ bool ChunkLog::check_invariants() const {
   std::uint64_t live_from_segments = 0;
   std::uint64_t appended_alive = 0;
   std::uint32_t allocated = 0;
+  // Reference victim: the original full scan, max garbage ratio with the
+  // lowest seq on ties.
+  std::optional<Victim> scanned;
   for (std::size_t seq = 0; seq < segments_.size(); ++seq) {
     const Segment& seg = segments_[seq];
     if (seg.freed) continue;
@@ -156,7 +176,20 @@ bool ChunkLog::check_invariants() const {
     live_from_segments += seg.live;
     appended_alive += seg.appended;
     ++allocated;
+    if (static_cast<std::int64_t>(seq) == open_seq_) continue;
+    UC_ASSERT(seg.appended == pages_per_segment_,
+              "sealed segment is not full");
+    const Victim v{static_cast<std::uint32_t>(seq), seg.live, seg.appended};
+    if (!scanned.has_value() || v.garbage_ratio() > scanned->garbage_ratio()) {
+      scanned = v;
+    }
   }
+  const std::optional<Victim> cached = pick_victim();
+  UC_ASSERT(scanned.has_value() == cached.has_value() &&
+                (!cached.has_value() ||
+                 (cached->seq == scanned->seq &&
+                  cached->live_pages == scanned->live_pages)),
+            "cached victim diverged from a full segment scan");
   UC_ASSERT(live_from_pages == live_pages_,
             "page-table live count diverged from cached live_pages");
   UC_ASSERT(live_from_segments == live_pages_,

@@ -95,8 +95,21 @@ class ChunkLog {
     }
   };
 
-  /// The closed segment with the highest garbage ratio, if any.
-  std::optional<Victim> pick_victim() const;
+  /// `victim_live_pages()` when the log has no sealed segment.
+  static constexpr std::uint32_t kNoVictim = ~0u;
+
+  /// The sealed segment with the highest garbage ratio, lowest seq on ties,
+  /// if any.  A read of the cached victim: O(1).
+  std::optional<Victim> pick_victim() const {
+    if (victim_live_ == kNoVictim) return std::nullopt;
+    return Victim{victim_seq_, victim_live_, pages_per_segment_};
+  }
+
+  /// Live pages of the cached victim, or `kNoVictim`.  Every sealed segment
+  /// is full, so across logs of one segment size fewer live pages means a
+  /// higher garbage ratio: this is the cleaner's comparison key.
+  std::uint32_t victim_live_pages() const { return victim_live_; }
+  std::uint32_t pages_per_segment() const { return pages_per_segment_; }
 
   /// Relocates the victim's live pages into the open log and frees the
   /// segment back to the pool.  Returns false if relocation needed a fresh
@@ -111,8 +124,9 @@ class ChunkLog {
   std::uint32_t allocated_segments() const { return allocated_segments_; }
 
   /// Debug probe: recomputes live/appended/allocated accounting from the
-  /// page table and per-segment records and asserts the cached counters
-  /// match.  Returns true so tests can write EXPECT_TRUE(log.check_...).
+  /// page table and per-segment records, and the victim by a full scan, and
+  /// asserts the cached values match.  Returns true so tests can write
+  /// EXPECT_TRUE(log.check_...).
   bool check_invariants() const;
 
  private:
@@ -124,6 +138,11 @@ class ChunkLog {
 
   bool ensure_open_segment(SegmentPool& pool, bool privileged);
   void account_overwrite(std::uint32_t page);
+  /// Sealed segment `seq` was sealed or lost a live page: it becomes the
+  /// victim if its (live, seq) is now the smallest.
+  void offer_victim(std::uint32_t seq);
+  /// Recomputes the victim from every sealed segment (after freeing it).
+  void rescan_victim();
 
   std::uint32_t pages_per_segment_;
   std::vector<Segment> segments_;      // indexed by seq; freed slots remain
@@ -133,6 +152,9 @@ class ChunkLog {
   std::uint64_t live_pages_ = 0;
   std::uint64_t appended_alive_pages_ = 0;  ///< appended pages in non-freed segments
   std::uint32_t allocated_segments_ = 0;    ///< currently non-freed
+  // Min (live, seq) over sealed (non-open, non-freed) segments.
+  std::uint32_t victim_seq_ = 0;
+  std::uint32_t victim_live_ = kNoVictim;
 };
 
 }  // namespace uc::ebs

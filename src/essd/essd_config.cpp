@@ -15,27 +15,9 @@ Status EssdConfig::validate() const {
   if (qos.bw_bytes_per_s <= 0.0 || qos.iops <= 0.0) {
     return Status::invalid_argument("QoS budgets must be positive");
   }
-  if (cluster.replication < 1 || cluster.replication > cluster.fabric.nodes) {
-    return Status::invalid_argument("replication must fit the node count");
-  }
+  if (const Status s = cluster.validate(); !s.is_ok()) return s;
   if (capacity_bytes % cluster.chunk_bytes != 0) {
     return Status::invalid_argument("capacity must be a chunk multiple");
-  }
-  // Written as !(x > 0) so a NaN rate is rejected too.
-  if (!(cluster.fabric.vm_nic_mbps > 0.0) ||
-      !(cluster.fabric.node_nic_mbps > 0.0)) {
-    return Status::invalid_argument("NIC bandwidths must be positive");
-  }
-  if (!(cluster.node_append_mbps > 0.0) || !(cluster.node_read_mbps > 0.0)) {
-    return Status::invalid_argument("node bandwidths must be positive");
-  }
-  if (cluster.model_node_index) {
-    if (const Status s = cluster.node_mapping.validate(); !s.is_ok()) {
-      return s;
-    }
-    if (cluster.node_index_window_pages == 0) {
-      return Status::invalid_argument("node index window must be positive");
-    }
   }
   return Status::ok();
 }

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/units.h"
@@ -38,6 +41,48 @@ ClusterConfig test_config() {
   cfg.cleaner_reserve_groups = 2;
   cfg.seed = 3;
   return cfg;
+}
+
+TEST(ClusterConfig, ValidateRejectsEachBadField) {
+  ASSERT_TRUE(test_config().validate().is_ok());
+  // One bad field at a time; each would otherwise reach the model as an
+  // abort, a division by zero or an infinite-bandwidth 0 ns/byte pipe.
+  const std::vector<std::function<void(ClusterConfig&)>> breaks = {
+      [](ClusterConfig& c) { c.replication = 0; },
+      [](ClusterConfig& c) { c.replication = c.fabric.nodes + 1; },
+      [](ClusterConfig& c) { c.fabric.vm_nic_mbps = 0.0; },
+      [](ClusterConfig& c) { c.fabric.node_nic_mbps = -1.0; },
+      [](ClusterConfig& c) { c.node_append_mbps = 0.0; },
+      [](ClusterConfig& c) { c.node_read_mbps = std::nan(""); },
+      [](ClusterConfig& c) { c.cleaner.processing_mbps = 0.0; },
+      [](ClusterConfig& c) { c.segment_bytes = 0; },
+      [](ClusterConfig& c) { c.segment_bytes = kMiB + 512; },
+      [](ClusterConfig& c) { c.chunk_bytes = 0; },
+      [](ClusterConfig& c) { c.chunk_bytes = 3 * kMiB / 2; },
+      [](ClusterConfig& c) {
+        c.model_node_index = true;
+        c.node_index_window_pages = 0;
+      },
+      [](ClusterConfig& c) {
+        c.model_node_index = true;
+        c.node_mapping.cmt_capacity_pages = 0;
+      },
+  };
+  for (std::size_t i = 0; i < breaks.size(); ++i) {
+    ClusterConfig cfg = test_config();
+    breaks[i](cfg);
+    EXPECT_FALSE(cfg.validate().is_ok()) << "bad field #" << i;
+  }
+  // A cluster built straight from the config refuses it too, before any
+  // size reaches a division.
+  sim::Simulator sim;
+  ClusterConfig cfg = test_config();
+  cfg.node_append_mbps = 0.0;
+  EXPECT_DEATH(StorageCluster(sim, cfg), "invalid cluster configuration");
+  cfg = test_config();
+  cfg.segment_bytes = 0;
+  EXPECT_DEATH(StorageCluster(sim, cfg, 32 * kMiB),
+               "invalid cluster configuration");
 }
 
 struct Harness {

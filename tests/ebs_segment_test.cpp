@@ -1,13 +1,19 @@
 // Tests for the chunk map, the cluster segment pool, and the per-chunk
-// append log with its live/garbage accounting and cleaning.
+// append log with its live/garbage accounting, cached victim and cleaning.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <set>
+#include <vector>
 
+#include "common/rng.h"
 #include "ebs/chunk_map.h"
+#include "ebs/cleaner.h"
 #include "ebs/segment_store.h"
+#include "sim/simulator.h"
 
 namespace uc::ebs {
 namespace {
@@ -175,6 +181,180 @@ TEST(ChunkLog, CleanEverythingReclaimsAllGarbage) {
   // All that remains is live data plus at most one open segment's slack.
   EXPECT_EQ(log.live_pages(), 32u);
   EXPECT_LE(log.garbage_pages(), 4u);
+}
+
+// Shadow of one ChunkLog's segment table, driven by the same operations:
+// the brute-force reference for the cached victim.  Freed segments are
+// erased, so a scan visits only the non-freed ones.
+struct ShadowLog {
+  struct Seg {
+    std::uint32_t appended = 0;
+    std::uint32_t live = 0;
+  };
+  std::uint32_t pps;
+  std::vector<std::uint32_t> page_seg;
+  std::map<std::uint32_t, Seg> segs;  // non-freed, by seq
+  std::uint32_t next_seq = 0;
+  std::int64_t open = -1;
+
+  ShadowLog(std::uint32_t pages, std::uint32_t pages_per_segment)
+      : pps(pages_per_segment), page_seg(pages, ChunkLog::kUnwritten) {}
+
+  void ensure_open() {
+    if (open >= 0 && segs[static_cast<std::uint32_t>(open)].appended < pps) {
+      return;
+    }
+    open = next_seq;
+    segs[next_seq++] = Seg{};
+  }
+  void drop(std::uint32_t page) {
+    if (page_seg[page] != ChunkLog::kUnwritten) --segs[page_seg[page]].live;
+  }
+  void place(std::uint32_t page) {
+    Seg& seg = segs[static_cast<std::uint32_t>(open)];
+    ++seg.appended;
+    ++seg.live;
+    page_seg[page] = static_cast<std::uint32_t>(open);
+  }
+  void append(std::uint32_t page) {
+    ensure_open();
+    drop(page);
+    place(page);
+  }
+  void trim(std::uint32_t page) {
+    drop(page);
+    page_seg[page] = ChunkLog::kUnwritten;
+  }
+  void clean(std::uint32_t seq) {
+    for (std::uint32_t page = 0; page < page_seg.size(); ++page) {
+      if (page_seg[page] != seq) continue;
+      ensure_open();
+      place(page);
+    }
+    segs.erase(seq);
+  }
+};
+
+struct RefVictim {
+  std::uint32_t live = ChunkLog::kNoVictim;
+  std::uint32_t chunk = 0;
+  std::uint32_t seq = 0;
+};
+
+// Minimum (live, seq) over one shadow log's sealed segments.
+RefVictim reference_victim(const ShadowLog& log, std::uint32_t chunk) {
+  RefVictim best;
+  for (const auto& [seq, seg] : log.segs) {
+    if (static_cast<std::int64_t>(seq) == log.open) continue;
+    if (seg.live < best.live) best = {seg.live, chunk, seq};
+  }
+  return best;
+}
+
+// Property: over a long seeded stream of appends, overwrites, trims and
+// cleans on logs sharing one pool, every log's cached victim and the
+// cleaner's global choice equal the brute-force minimum (live, chunk,
+// seq).  Four pages per segment makes live-count ties the common case.
+// Cleans take the cleaner's choice, sometimes after further operations
+// have moved the minimum elsewhere, like a real cycle whose victim goes
+// stale while its bandwidth reservation is in flight.
+TEST(ChunkLog, CachedVictimMatchesBruteForceScan) {
+  constexpr std::uint32_t kLogs = 6;
+  constexpr std::uint32_t kPages = 24;
+  constexpr std::uint32_t kPps = 4;
+  constexpr std::uint64_t kOps = 100000;
+  SegmentPool pool(60, 4);
+  std::vector<std::unique_ptr<ChunkLog>> logs;
+  std::vector<ChunkLog*> registry;
+  std::vector<ShadowLog> shadows;
+  for (std::uint32_t c = 0; c < kLogs; ++c) {
+    logs.push_back(std::make_unique<ChunkLog>(kPages, kPps));
+    registry.push_back(logs.back().get());
+    shadows.emplace_back(kPages, kPps);
+  }
+  const std::vector<std::uint32_t> owners(kLogs, 0);
+  sim::Simulator sim;
+  const Cleaner cleaner(sim, CleanerConfig{}, kPps * kLogicalPageBytes,
+                        registry, owners, pool);
+
+  Rng rng(19);
+  WriteStamp stamp = 0;
+  Cleaner::GlobalVictim pending;  // picked, not yet cleaned
+  std::uint64_t cleans = 0;
+  std::uint64_t stale_cleans = 0;
+  const auto clean = [&](const Cleaner::GlobalVictim& target) {
+    const RefVictim now = [&] {
+      RefVictim best;
+      for (std::uint32_t c = 0; c < kLogs; ++c) {
+        const RefVictim v = reference_victim(shadows[c], c);
+        if (v.live < best.live) best = v;
+      }
+      return best;
+    }();
+    if (now.chunk != target.chunk || now.seq != target.victim.seq) {
+      ++stale_cleans;
+    }
+    ASSERT_TRUE(
+        logs[target.chunk]->clean_segment(target.victim.seq, pool, nullptr));
+    shadows[target.chunk].clean(target.victim.seq);
+    ++cleans;
+  };
+
+  for (std::uint64_t op = 0; op < kOps; ++op) {
+    const std::uint64_t kind = rng.uniform_u64(100);
+    const auto c = static_cast<std::uint32_t>(rng.uniform_u64(kLogs));
+    const auto page = static_cast<std::uint32_t>(rng.uniform_u64(kPages));
+    if (kind < 55) {
+      if (logs[c]->append_page(page, ++stamp, pool)) {
+        shadows[c].append(page);
+      } else {
+        // Pool dry: clean, as a stalled append waits for the cleaner.
+        const auto target =
+            pending.found ? pending : cleaner.pick_global_victim();
+        ASSERT_TRUE(target.found);
+        clean(target);
+        pending = {};
+      }
+    } else if (kind < 70) {
+      logs[c]->trim_page(page);
+      shadows[c].trim(page);
+    } else if (kind < 85) {
+      if (!pending.found) pending = cleaner.pick_global_victim();
+    } else {
+      const auto target =
+          pending.found ? pending : cleaner.pick_global_victim();
+      if (target.found) clean(target);
+      pending = {};
+    }
+    if (HasFatalFailure()) return;
+
+    RefVictim global;
+    for (std::uint32_t l = 0; l < kLogs; ++l) {
+      const RefVictim want = reference_victim(shadows[l], l);
+      const auto got = logs[l]->pick_victim();
+      ASSERT_EQ(got.has_value(), want.live != ChunkLog::kNoVictim)
+          << "op " << op << " log " << l;
+      if (got.has_value()) {
+        ASSERT_EQ(got->seq, want.seq) << "op " << op << " log " << l;
+        ASSERT_EQ(got->live_pages, want.live) << "op " << op << " log " << l;
+        ASSERT_EQ(got->appended_pages, kPps);
+      }
+      if (want.live < global.live) global = want;
+    }
+    const Cleaner::GlobalVictim picked = cleaner.pick_global_victim();
+    ASSERT_EQ(picked.found, global.live != ChunkLog::kNoVictim) << "op " << op;
+    if (picked.found) {
+      ASSERT_EQ(picked.chunk, global.chunk) << "op " << op;
+      ASSERT_EQ(picked.victim.seq, global.seq) << "op " << op;
+      ASSERT_EQ(picked.victim.live_pages, global.live) << "op " << op;
+    }
+    if (op % 1000 == 0) {
+      for (const auto& log : logs) ASSERT_TRUE(log->check_invariants());
+    }
+  }
+  // The stream must actually exercise cleaning, including stale targets.
+  EXPECT_GT(cleans, kOps / 10);
+  EXPECT_GT(stale_cleans, 0u);
 }
 
 }  // namespace
